@@ -862,11 +862,7 @@ module Deriv = Alveare_derivative.Engine
 module Compile = Alveare_compiler.Compile
 
 let ext_rules = 16
-(* 16 KiB, not the 64-128 KiB the other ablations use: the derivative
-   oracle is worst-case linear PER START POSITION, so the full-corpus
-   sweep grows quadratically with the stream and already dominates the
-   bench lane's wall clock at this size. *)
-let ext_bytes = 16 * 1024
+let ext_bytes = 64 * 1024
 let ext_iters = 3
 
 let ext_bench () : (string * float) list =

@@ -54,9 +54,12 @@
    [family] per domain, via a single Domain.DLS key); within a domain,
    sys-thread callers (the server) take a per-instance try-lock and
    fall back to [Plan.run] on contention — identical results either
-   way. Cache counters are plain fields folded into family-level
-   retirement totals by a GC finalizer, so the hot path never touches
-   an atomic. *)
+   way. Cache counters are plain fields, so the hot path never touches
+   an atomic; a GC finaliser pushes a collected instance's counters onto
+   its family's lock-free graveyard, which the stats readers fold into
+   the family's retirement totals. The finaliser takes no lock: it runs
+   at whatever allocation the GC picks, possibly on a thread that holds
+   the family mutex. *)
 
 module I = Alveare_isa.Instruction
 
@@ -233,6 +236,7 @@ type regs = {
 
 type t = {
   fam : family;
+  iid : int;              (* instance id, unique in the process *)
   ops : Plan.op array;
   covered : bool array;
   max_states : int;
@@ -262,12 +266,15 @@ and family = {
   fops : Plan.op array;
   fcovered : bool array;
   fmax_states : int;
-  fmu : Mutex.t;                  (* guards members / retired *)
-  mutable members : t Weak.t list;
-  mutable retired : cache_stats;  (* counters of collected instances *)
+  fmu : Mutex.t;  (* guards members / retired; never taken by the finaliser *)
+  mutable members : (int * t Weak.t) list;  (* by instance id *)
+  mutable retired : cache_stats;  (* counters of settled collected instances *)
+  graveyard : (int * cache_stats) list Atomic.t;
+      (* pushed by finalisers: collected instances not settled yet *)
 }
 
 let next_fid = Atomic.make 0
+let next_iid = Atomic.make 0
 
 (* Registry of live families, for [global_stats] (server gauges). *)
 let registry_mu = Mutex.create ()
@@ -295,7 +302,8 @@ let family ?(max_states = default_max_states) ~fragments plan =
       { fid = Atomic.fetch_and_add next_fid 1;
         fplan = plan; fops = ops; fcovered = covered;
         fmax_states = max 2 max_states;
-        fmu = Mutex.create (); members = []; retired = zero_stats }
+        fmu = Mutex.create (); members = []; retired = zero_stats;
+        graveyard = Atomic.make [] }
     in
     let w = Weak.create 1 in
     Weak.set w 0 (Some fam);
@@ -312,17 +320,37 @@ let stats_of (t : t) =
     hits = t.c_hits; misses = t.c_misses; flushes = t.c_flushes;
     bails = t.c_bails; dfa_attempts = t.c_attempts }
 
+(* With [fmu] held: drop collected members, and fold into [retired] the
+   graveyard entries of instances no longer among them. An entry whose
+   instance is still reachable through its weak pointer (finalised but
+   not yet collected) stays, so that readers skip the instance as live.
+   A finaliser pushing meanwhile makes the swap fail; the next settle
+   folds its entry. *)
+let settle fam =
+  fam.members <- List.filter (fun (_, w) -> Weak.check w 0) fam.members;
+  let grave = Atomic.get fam.graveyard in
+  let kept, gone =
+    List.partition (fun (id, _) -> List.mem_assoc id fam.members) grave
+  in
+  if gone <> [] && Atomic.compare_and_set fam.graveyard grave kept then
+    fam.retired <-
+      List.fold_left (fun acc (_, s) -> add_stats acc s) fam.retired gone
+
+(* Settled totals, then the graveyard, then the live instances not in
+   it — one snapshot under [fmu], so a later call never reports less. *)
 let family_stats fam =
-  Mutex.lock fam.fmu;
-  let live = fam.members in
-  let retired = fam.retired in
-  Mutex.unlock fam.fmu;
-  List.fold_left
-    (fun acc w ->
-       match Weak.get w 0 with
-       | Some t -> add_stats acc (stats_of t)
-       | None -> acc)
-    retired live
+  Mutex.protect fam.fmu (fun () ->
+      settle fam;
+      let grave = Atomic.get fam.graveyard in
+      let acc =
+        List.fold_left (fun acc (_, s) -> add_stats acc s) fam.retired grave
+      in
+      List.fold_left
+        (fun acc (id, w) ->
+           match Weak.get w 0 with
+           | Some t when not (List.mem_assoc id grave) -> add_stats acc (stats_of t)
+           | _ -> acc)
+        acc fam.members)
 
 let global_stats () =
   Mutex.lock registry_mu;
@@ -362,19 +390,20 @@ and flush t =
   t.c_flushes <- t.c_flushes + 1;
   ignore (intern_state t state0)
 
+(* The finaliser: a lock-free push (see the header). *)
 let retire (t : t) =
-  let fam = t.fam in
-  Mutex.lock fam.fmu;
-  fam.retired <- add_stats fam.retired (stats_of t);
-  fam.members <-
-    List.filter
-      (fun w -> match Weak.get w 0 with Some m -> m != t | None -> false)
-      fam.members;
-  Mutex.unlock fam.fmu
+  let entry = (t.iid, stats_of t) in
+  let rec push () =
+    let grave = Atomic.get t.fam.graveyard in
+    if not (Atomic.compare_and_set t.fam.graveyard grave (entry :: grave))
+    then push ()
+  in
+  push ()
 
 let create_instance fam =
   let t =
-    { fam; ops = fam.fops; covered = fam.fcovered;
+    { fam; iid = Atomic.fetch_and_add next_iid 1;
+      ops = fam.fops; covered = fam.fcovered;
       max_states = fam.fmax_states;
       max_transitions = 32 * fam.fmax_states;
       frames = vec_make dummy_frame;
@@ -394,9 +423,9 @@ let create_instance fam =
   ignore (intern_state t state0);
   let w = Weak.create 1 in
   Weak.set w 0 (Some t);
-  Mutex.lock fam.fmu;
-  fam.members <- w :: fam.members;
-  Mutex.unlock fam.fmu;
+  Mutex.protect fam.fmu (fun () ->
+      settle fam;
+      fam.members <- (t.iid, w) :: fam.members);
   Gc.finalise retire t;
   t
 

@@ -1,19 +1,17 @@
-(** Priority-faithful Brzozowski-derivative matcher.
+(** Priority-faithful Brzozowski-derivative matcher, run as a lazy DFA.
 
-    The semantic oracle for the extended operators: it evaluates
-    intersection, complement and lookarounds natively and reproduces
-    PCRE leftmost-first spans on the POSIX-ERE fragment (it is
-    differentially tested span-for-span against the plan executor).
-    Worst-case linear work per start position over the interned state
-    space; no backtracking. *)
+    Evaluates intersection, complement and lookarounds natively, with
+    PCRE leftmost-first spans. Rows are keyed by state and by the mask
+    of lookarounds true at the position, for the pattern's lifetime: a
+    scan costs one linear walk per lookaround plus the per-start row
+    walks, one cached transition per byte. *)
 
 open Alveare_frontend
 module Semantics = Alveare_engine.Semantics
 
 type t
-(** A compiled derivative matcher: an interning arena plus the root
-    node. Safe to share across domains — the arena mutex serialises
-    interning and cache access. *)
+(** An arena, the root node and bounded tables built on the first scan.
+    Safe to share across domains: the arena mutex serialises them. *)
 
 val of_ast : Ast.t -> t
 (** Compile a (possibly extended) frontend AST. *)
@@ -23,13 +21,20 @@ val of_pattern : ?extended:bool -> string -> t
     and lookaround syntax. Raises on malformed patterns (see
     {!Alveare_frontend.Desugar.pattern_exn}). *)
 
+(** The same engine with other table and arena caps (tests use tiny ones). *)
+module Make (_ : sig val max_entries : int val max_nodes : int end) : sig
+  val of_ast : Ast.t -> t
+  val of_pattern : ?extended:bool -> string -> t
+end
+
 val state_count : t -> int
-(** Number of distinct nodes interned so far (grows as inputs are
-    scanned and new derivative states appear). *)
+(** Nodes interned (new derivative states add some; a rebuild drops them). *)
+
+val flushes : t -> int
+(** Table flushes and arena rebuilds so far. *)
 
 val look_free : t -> bool
-(** True when the pattern contains no lookaround — all caching is then
-    position-independent and lives in the arena. *)
+(** True when the pattern contains no lookaround. *)
 
 val match_at : t -> string -> int -> int option
 (** [match_at eng input start] returns the end offset of the
@@ -52,5 +57,6 @@ val root : t -> Regex.node
 
 val deriv_free : Regex.t -> Regex.node -> char -> Regex.node
 (** Position-independent derivative of a look-free node, for
-    {!Enumerate} and the mid-end lowering. The arena lock must be held
-    by the caller. Raises [Invalid_argument] on a look-bearing node. *)
+    {!Enumerate}; partial application to the arena shares one memo. The
+    arena lock must be held. Raises [Invalid_argument] on a look-bearing
+    node. *)

@@ -1,61 +1,47 @@
-(* Finite-language detection and enumeration over the derivative graph.
+(* Finite-language detection and enumeration over the derivative graph
+   (see the interface for how the mid-end uses it).
 
-   The mid-end uses this to lower extended sub-patterns the ISA cannot
-   execute: if the language of an intersection (or any look-free node)
-   is finite, its strings — emitted longest-first — form a plain
-   alternation of literals the ISA handles natively, and longest-first
-   order reproduces the prefer-continue preference of the set
-   operators exactly: on a fixed input the strings that match at one
-   position form a prefix chain, so trying longer ones first IS
-   longest preference, and same-length strings are mutually exclusive.
-
-   Finiteness is decided on the reachable derivative graph restricted
-   to LIVE states (states from which an accepting state is reachable):
-   the language is finite iff that subgraph is acyclic. Dead cycles —
-   e.g. the sink states complement constructions produce — don't make
-   the language infinite.
-
-   Everything is budgeted; [None] means "not provably finite within
-   budget" and the caller falls back to the derivative engine. *)
+   The language is finite iff the reachable derivative graph restricted
+   to LIVE states (those that reach an accepting state) is acyclic —
+   dead cycles, such as the sinks complements produce, do not count.
+   The string walk follows live edges only, so a live cycle drives it
+   past [max_bytes]: every budget that trips means "not provably finite"
+   and the caller falls back to the derivative engine. Each leaf of the
+   walk accepts, so it stops within [max_strings] leaves of depth at
+   most [max_bytes]. *)
 
 open Alveare_frontend
 module R = Regex
 
+exception Over_budget
+
+(* BFS over position-independent derivatives: the states and their
+   byte-labelled edges. *)
 let explore ~max_states arena (root : R.node) =
-  (* BFS over position-independent derivatives; returns the state set
-     and byte-labelled edges, or None when the frontier exceeds the
-     budget. *)
   let nodes : (int, R.node) Hashtbl.t = Hashtbl.create 64 in
   let edges : (int, (char * int) list) Hashtbl.t = Hashtbl.create 64 in
   let queue = Queue.create () in
-  let add n =
+  let deriv = Engine.deriv_free arena in
+  let add (n : R.node) =
     if not (Hashtbl.mem nodes n.R.id) then begin
+      if Hashtbl.length nodes >= max_states then raise Over_budget;
       Hashtbl.add nodes n.R.id n;
       Queue.add n queue
     end
   in
   add root;
-  let ok = ref true in
-  while !ok && not (Queue.is_empty queue) do
-    if Hashtbl.length nodes > max_states then ok := false
-    else begin
-      let n = Queue.pop queue in
-      let outs = ref [] in
+  while not (Queue.is_empty queue) do
+    let n = Queue.pop queue in
+    let outs =
       Charset.fold_chars
-        (fun () c ->
-          if !ok then begin
-            let d = Engine.deriv_free arena n c in
-            if not (R.is_bot d) then begin
-              outs := (c, d.R.id) :: !outs;
-              add d
-            end
-          end)
-        () (R.first_bytes n);
-      Hashtbl.replace edges n.R.id (List.rev !outs)
-    end
+        (fun outs c ->
+          let d = deriv n c in
+          if R.is_bot d then outs else (add d; (c, d.R.id) :: outs))
+        [] (R.first_bytes n)
+    in
+    Hashtbl.replace edges n.R.id (List.rev outs)
   done;
-  if !ok && Hashtbl.length nodes <= max_states then Some (nodes, edges)
-  else None
+  (nodes, edges)
 
 let live_states nodes edges =
   (* reverse reachability from accepting states *)
@@ -78,31 +64,8 @@ let live_states nodes edges =
   Hashtbl.iter (fun id (n : R.node) -> if n.R.null then mark id) nodes;
   live
 
-let acyclic_on live edges root_id =
-  (* DFS cycle check restricted to live states *)
-  let color : (int, [ `Grey | `Black ]) Hashtbl.t = Hashtbl.create 64 in
-  let rec visit id =
-    match Hashtbl.find_opt color id with
-    | Some `Black -> true
-    | Some `Grey -> false
-    | None ->
-      Hashtbl.add color id `Grey;
-      let outs = Option.value ~default:[] (Hashtbl.find_opt edges id) in
-      let ok =
-        List.for_all
-          (fun (_, dst) -> (not (Hashtbl.mem live dst)) || visit dst)
-          outs
-      in
-      Hashtbl.replace color id `Black;
-      ok
-  in
-  (not (Hashtbl.mem live root_id)) || visit root_id
-
-exception Over_budget
-
+(* Every accepted string, by a path walk over the live subgraph. *)
 let strings_of ~max_strings ~max_bytes nodes edges live root_id =
-  (* enumerate all accepted strings by path walk over the (acyclic)
-     live subgraph; raises Over_budget when a cap trips *)
   let out = ref [] in
   let count = ref 0 in
   let buf = Buffer.create 16 in
@@ -134,21 +97,17 @@ let enumerate ?(max_states = 512) ?(max_strings = 256) ?(max_bytes = 64)
   else
     let arena = Engine.arena eng in
     Mutex.protect (R.lock arena) (fun () ->
-        match explore ~max_states arena root with
-        | None -> None
-        | Some (nodes, edges) ->
-          let live = live_states nodes edges in
-          if not (acyclic_on live edges root.R.id) then None
-          else
-            match
-              strings_of ~max_strings ~max_bytes nodes edges live root.R.id
-            with
-            | strings ->
-              (* longest-first, then lexicographic for determinism *)
-              Some
-                (List.sort
-                   (fun a b ->
-                     let la = String.length a and lb = String.length b in
-                     if la <> lb then compare lb la else compare a b)
-                   strings)
-            | exception Over_budget -> None)
+        match
+          let nodes, edges = explore ~max_states arena root in
+          strings_of ~max_strings ~max_bytes nodes edges
+            (live_states nodes edges) root.R.id
+        with
+        | strings ->
+          (* longest-first, then lexicographic for determinism *)
+          Some
+            (List.sort
+               (fun a b ->
+                 let la = String.length a and lb = String.length b in
+                 if la <> lb then compare lb la else compare a b)
+               strings)
+        | exception Over_budget -> None)

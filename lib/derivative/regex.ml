@@ -1,35 +1,21 @@
 (* Hash-consed regular-expression nodes for the Brzozowski-derivative
-   engine — the semantic oracle for the extended operators (intersection,
-   complement, lookarounds) that the speculative ISA cannot execute
-   natively.
+   engine. Structurally identical sub-expressions intern to one node, so
+   the engine's tables key on the integer id, and Antimirov-style smart
+   constructors (flattening, identity laws, neutral/absorbing elements,
+   duplicate elimination) keep the derivative state space finite.
 
-   Nodes live in an arena: structurally identical sub-expressions intern
-   to one physical node, so the per-node derivative and split caches key
-   on the integer id and the state space explored by a match stays
-   small (Brzozowski's finiteness argument needs the Antimirov-style
-   smart constructors below: flattening, identity laws, neutral/absorbing
-   element removal, duplicate elimination).
-
-   Priority discipline, because every law must preserve PCRE
-   leftmost-FIRST semantics (the Backtrack oracle), not just language:
-
+   Every law must preserve PCRE leftmost-FIRST priority, not just
+   language:
    - [Alt] lists keep their order and deduplicate keeping the FIRST
-     occurrence (an identical later branch retries everything the
-     earlier one already tried with the same continuation). They are
-     never sorted.
-   - [And] members ARE sorted by id (intersection carries set semantics
-     — its match preference is prefer-continue, independent of member
-     order), and a single-member [And [x]] keeps its wrapper: collapsing
-     it to [x] would swap prefer-continue (longest) preference for [x]'s
-     own backtracking order.
-   - [Not (Not x)] is NOT collapsed to [x], for the same reason: the
-     double complement preserves [x]'s language but gives it
-     prefer-continue preference.
+     occurrence (a later identical branch only retries what the earlier
+     one tried); they are never sorted.
+   - [And] members ARE sorted by id (set semantics: prefer-continue,
+     whatever the order), but [And [x]] keeps its wrapper, and
+     [Not (Not x)] is not collapsed: either collapse would swap
+     prefer-continue (longest) preference for [x]'s own order.
 
-   The [null] field caches nullability and the arena caches split /
-   derivative results — but only for [look_free] nodes: lookarounds make
-   all three position-dependent, so look-bearing nodes are evaluated
-   through per-search memo tables in {!Engine}. *)
+   [null] is exact only on [look_free] nodes; on the others it depends
+   on the lookarounds true at the position, which {!Engine} resolves. *)
 
 open Alveare_frontend
 
@@ -66,25 +52,16 @@ type key =
 
 type t = {
   cons : (key, node) Hashtbl.t;
-  mutable next_id : int;
-  split_cache : (int, node * bool * node) Hashtbl.t; (* look-free only *)
-  deriv_cache : (int * char, node) Hashtbl.t;        (* look-free only *)
+  mutable next_id : int; (* never reused, so ids stay unique across [clear] *)
   lock : Mutex.t;
-      (* serialises interning and cache access so one compiled pattern
-         can be scanned from several domains *)
+      (* serialises interning (and the engine tables built on it) so one
+         compiled pattern can be scanned from several domains *)
 }
 
-let create () =
-  { cons = Hashtbl.create 64;
-    next_id = 0;
-    split_cache = Hashtbl.create 64;
-    deriv_cache = Hashtbl.create 64;
-    lock = Mutex.create () }
-
-let size a = a.next_id
+let create () = { cons = Hashtbl.create 64; next_id = 0; lock = Mutex.create () }
+let size a = Hashtbl.length a.cons
+let clear a = Hashtbl.reset a.cons
 let lock a = a.lock
-let split_cache a = a.split_cache
-let deriv_cache a = a.deriv_cache
 
 let key_of = function
   | Bot -> KBot
@@ -106,8 +83,8 @@ let null_of = function
   | Not x -> not x.null
   | Rep (_, 0, _, _) -> true
   | Rep (x, _, _, _) -> x.null
-  | Look _ -> true (* placeholder — look-bearing nullability is
-                      position-dependent and resolved in Engine *)
+  | Look _ -> true (* placeholder — look-bearing nullability depends
+                      on the position and is resolved in Engine *)
 
 let look_free_of = function
   | Bot | Eps | Chars _ -> true
@@ -236,20 +213,10 @@ let full_set =
   Charset.complement ~alphabet_size:Alveare_engine.Semantics.byte_universe
     Charset.empty
 
-(* Charset intersection by merging the sorted disjoint range lists
-   (Charset itself only exposes union/complement). *)
+(* Charset intersection, by De Morgan within the byte universe. *)
 let charset_inter (x : Charset.t) (y : Charset.t) : Charset.t =
-  let rec go acc rx ry =
-    match rx, ry with
-    | [], _ | _, [] -> acc
-    | (alo, ahi) :: rx', (blo, bhi) :: ry' ->
-      let lo = max alo blo and hi = min ahi bhi in
-      let acc = if lo <= hi then (lo, hi) :: acc else acc in
-      if ahi < bhi then go acc rx' ry
-      else if bhi < ahi then go acc rx ry'
-      else go acc rx' ry'
-  in
-  Charset.of_ranges (List.rev (go [] (Charset.ranges x) (Charset.ranges y)))
+  let c = Charset.complement ~alphabet_size:Alveare_engine.Semantics.byte_universe in
+  c (Charset.union (c x) (c y))
 
 (* Bytes that can start a nonempty match — an over-approximation used by
    {!Enumerate} to bound the byte fan-out per derivative state. Only
@@ -268,20 +235,3 @@ let rec first_bytes (n : node) : Charset.t =
     List.fold_left (fun acc x -> charset_inter acc (first_bytes x)) full_set xs
   | Not _ -> full_set
   | Rep (x, _, _, _) -> first_bytes x
-
-(* --- Printing ------------------------------------------------------------ *)
-
-let rec pp ppf (n : node) =
-  match n.desc with
-  | Bot -> Fmt.string ppf "⊥"
-  | Eps -> Fmt.string ppf "ε"
-  | Chars s -> Charset.pp ppf s
-  | Cat (x, y) -> Fmt.pf ppf "(%a%a)" pp x pp y
-  | Alt xs -> Fmt.pf ppf "(%a)" Fmt.(list ~sep:(any "|") pp) xs
-  | And xs -> Fmt.pf ppf "(%a)" Fmt.(list ~sep:(any "&") pp) xs
-  | Not x -> Fmt.pf ppf "(?~%a)" pp x
-  | Rep (x, lo, hi, greedy) ->
-    Fmt.pf ppf "%a{%d,%s}%s" pp x lo
-      (match hi with Some h -> string_of_int h | None -> "")
-      (if greedy then "" else "?")
-  | Look (l, x) -> Fmt.pf ppf "%s%a)" (Ast.look_opener l) pp x

@@ -1,11 +1,9 @@
 (** Hash-consed regex nodes for the derivative engine.
 
     An arena interns structurally identical sub-expressions to one
-    physical node (Antimirov-style smart constructors keep the state
-    space finite) and memoises split/derivative results by node id —
-    but only for [look_free] nodes: lookarounds make nullability,
-    splits and derivatives position-dependent, so look-bearing nodes
-    are evaluated through per-search tables in {!Engine}.
+    physical node with a unique integer id (Antimirov-style smart
+    constructors keep the state space finite); {!Engine} keys its
+    lazy-DFA rows and memo tables on those ids.
 
     Every constructor law preserves PCRE leftmost-first priority, not
     just language — see the implementation header for the discipline
@@ -32,12 +30,16 @@ and desc =
   | Look of Ast.look * node                 (** zero-width predicate *)
 
 type t
-(** The interning arena, with its derivative/split caches and the mutex
-    that serialises them across domains. *)
+(** The interning arena and the mutex that serialises it (and the engine
+    tables built on it) across domains. *)
 
 val create : unit -> t
 val size : t -> int
-(** Number of distinct nodes interned so far. *)
+(** Number of distinct nodes currently interned. *)
+
+val clear : t -> unit
+(** Forget every interned node. Later nodes get fresh ids, so ids stay
+    unique across a clear. *)
 
 val lock : t -> Mutex.t
 
@@ -65,9 +67,6 @@ val pred_opt : int option -> int option
 val of_ast : t -> Ast.t -> node
 (** Translate a (possibly extended) frontend AST. *)
 
-val split_cache : t -> (int, node * bool * node) Hashtbl.t
-val deriv_cache : t -> (int * char, node) Hashtbl.t
-
 val full_set : Charset.t
 (** All 256 bytes. *)
 
@@ -77,4 +76,3 @@ val first_bytes : node -> Charset.t
 (** Over-approximation of the bytes that can start a nonempty match.
     Only meaningful on look-free nodes. *)
 
-val pp : node Fmt.t

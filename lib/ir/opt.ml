@@ -39,15 +39,21 @@
    - repeat coalescing: an adjacent repetition and atom (or two
      repetitions) of the same body with a compatible greediness add
      their counters — `aa*` => `a+`, `x{1,2}x{1,3}` => `x{2,5}`.
-   - nest fusion: `(x{a,b}){n,m}` => `x{n·a,m·b}` whenever the fused
-     counting range is contiguous and the backtracking orders compose
-     (same greediness, or one side exactly counted). Contiguity: the
-     totals are the union over k in [n,m] of [k·a, k·b]; adjacent
-     intervals touch iff (n+1)·a <= n·b + 1 (the k = n gap is the
-     widest). This subsumes the classic collapses `(x{0,}){0,}` =>
-     `x*`, `(x+)+` => `x+`, `(x{0,1}){0,}` => `x*`, `(x{2}){3}` =>
-     `x{6}` — and
-     correctly refuses `(x{2}){1,3}` (even totals only, not x{2,6}).
+   - nest fusion: `(x{a,b}){n,m}` => `x{n·a,m·b}` when the fused range
+     is contiguous and the nest tries the totals in the fused order.
+     Contiguity: the totals are the union over k in [n,m] of
+     [k·a, k·b], and adjacent intervals touch iff (n+1)·a <= n·b + 1.
+     Order: both sides must share a greediness unless one is exactly
+     counted; every match of x must have one nonzero width, or x's own
+     choices interleave with the counting (`((b|bc){1,2}){2}` on "bbcb"
+     is [0,4), `(b|bc){2,4}` [0,2)); and a >= 2 needs an exact outer
+     count or a greedy unbounded inner. Otherwise an iteration can
+     strand fewer than a copies: greedy `(b{3,5})+` on "bbbbbb" takes 5
+     and cannot start a second iteration, where `b{3,}` takes 6
+     (lazily, `(b{3,5}?)+?` tries 6 as 3+3 before 4). This keeps the
+     classic collapses `(x{0,}){0,}` => `x*`, `(x+)+` => `x+`,
+     `(x{0,1}){0,}` => `x*`, `(x{2}){3}` => `x{6}`, and refuses
+     `(x{2}){1,3}` (even totals only) and `(b{2,3})+`.
    - repetition rolling (the inverse of unfolding, targeting the
      hardware counter): a concatenation that repeats the same factor k
      times back-to-back rolls into an exact counted repeat when the
@@ -345,19 +351,36 @@ let coalesce_repeats parts =
   go parts
 
 (* (x{a,b}){n,m} => x{n·a,m·b} when the fused counting range is
-   contiguous and the backtracking orders compose. Totals are the union
-   over k in [n,m] of [k·a, k·b]; the widest gap is between k = n and
-   k = n+1, so contiguity is exactly (n+1)·a <= n·b + 1. An unbounded
-   inner bound makes every k >= max(n,1) interval reach infinity; with
-   n = 0 the isolated total 0 additionally needs a <= 1. Greediness:
-   an exactly-counted side has no counting choice, so the other side's
-   preference governs; otherwise both must agree. Refuses
-   `(x{2}){1,3}` (even totals only) and `(a{2})+`. *)
+   contiguous and the nest tries totals in the fused order. Totals are
+   the union over k in [n,m] of [k·a, k·b]; the widest gap is between
+   k = n and k = n+1, so contiguity is exactly (n+1)·a <= n·b + 1. An
+   unbounded inner bound makes every k >= max(n,1) interval reach
+   infinity; with n = 0 the isolated total 0 additionally needs a <= 1.
+   Greediness: an exactly-counted side has no counting choice, so the
+   other side's preference governs; otherwise both must agree. Order:
+   when every match of [inner] has one nonzero width, a total fixes the
+   end position and the nest only has to try totals in the fused order.
+   With a >= 2 and a free outer count it does not: a greedy iteration
+   can strand fewer than a copies and end the loop short — `(b{3,5})+`
+   on "bbbbbb" gives [0,5), `b{3,}` [0,6) — and lazily `(b{3,5}?)+?`
+   tries the total 6 (3+3) before 4. It does with an exact outer count
+   (every iteration is mandatory, and the first decomposition of each
+   total comes in the fused order) and with a greedy unbounded inner
+   (the first iteration takes every copy). Refuses `(x{2}){1,3}` (even
+   totals only), `(a{2})+`, `(b{2,3})+` and `((b|bc){1,2}){2}`. *)
 let fuse_nest x (qo : Ast.quant) =
   match x with
   | Ast.Repeat (inner, qi) ->
     let greed_ok = qi.Ast.greedy = qo.Ast.greedy || exact qi || exact qo in
-    if not greed_ok then None
+    let order_ok =
+      qi.Ast.qmin <= 1 || exact qo || (qi.Ast.qmax = None && qi.Ast.greedy)
+    in
+    let rigid =
+      match Alveare_prefilter.Prefilter.fixed_length inner with
+      | Some w -> w > 0
+      | None -> false
+    in
+    if not (greed_ok && order_ok && rigid) then None
     else begin
       let greedy =
         if exact qi then qo.Ast.greedy

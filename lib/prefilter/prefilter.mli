@@ -49,6 +49,9 @@ val analyze : ?anchored:bool -> Alveare_frontend.Ast.t -> t
 (** Total: never raises. [anchored] defaults to [false] (the surface
     syntax cannot express [^]). *)
 
+val fixed_length : Alveare_frontend.Ast.t -> int option
+(** The length of every match, when all matches have the same one. *)
+
 val first_usable : t -> bool
 (** The first-set skip loop is applicable and useful: the pattern is
     not nullable (empty matches can start anywhere, so skipping offsets

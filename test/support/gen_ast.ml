@@ -163,6 +163,36 @@ let gen_extended_ast_and_input : (Ast.t * string) QCheck2.Gen.t =
   in
   return (ast, input)
 
+(* Lookarounds nested where the generators above never put them:
+   inside look bodies, intersection and complement members, and
+   repeats — the shapes that make one lookaround's truth depend on
+   another's. *)
+let rec gen_nested_sized n : Ast.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let sub k = gen_nested_sized (n / k) in
+  let several = let* k = int_range 2 3 in list_size (return k) (sub k) in
+  if n <= 1 then gen_ast_sized 1
+  else
+    frequency
+      [ (2, gen_ast_sized n);
+        (3,
+         let* look = gen_look in
+         let* body = sub 2 in
+         let* tail = sub 2 in
+         return (Ast.Concat [ Ast.Look (look, body); tail ]));
+        (1, let* look = gen_look in map (fun b -> Ast.Look (look, b)) (sub 2));
+        (2, map (fun xs -> Ast.Inter xs) several);
+        (1, map (fun x -> Ast.Negate x) (sub 2));
+        (2, let* q = gen_quant in map (fun x -> Ast.Repeat (x, q)) (sub 2));
+        (2, map (fun xs -> Ast.Concat xs) several);
+        (1, map (fun xs -> Ast.Alt xs) several) ]
+
+let gen_nested_ast_and_input : (Ast.t * string) QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let* ast = sized_size (int_range 2 16) gen_nested_sized in
+  let* input = oneof [ gen_input; gen_extended_input_with_witness ast ] in
+  return (ast, input)
+
 let print_ast ast = Alveare_frontend.Ast.to_pattern ast
 
 let print_ast_and_input (ast, input) =

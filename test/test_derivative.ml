@@ -1,11 +1,18 @@
 (* The derivative-engine battery (@derivcheck).
 
    The derivative matcher is the semantic oracle for the extended
-   operators, so its own correctness is anchored two ways:
+   operators, so its own correctness is anchored three ways:
 
    - span-for-span agreement with the Backtrack oracle (and hence the
      whole plan-executor stack) on the existing random-AST POSIX-ERE
      corpus — the same generators the cross-engine differential uses;
+   - agreement of the lazy DFA with the position-memo interpreter it
+     replaced ([Deriv_oracle]) on extended patterns — [find_all],
+     [search ~from] at several origins and [match_at] — on random
+     cases, on lookarounds nested in look bodies, intersections,
+     complements and repeats, on the policy rules over the policy
+     benchmark's traffic, and with tables and arena capped so small
+     that every scan flushes;
    - algebraic identities of the extended operators checked as
      language equivalence on concrete inputs (r&r = r, (?~(?~r))
      matches where r does, De Morgan), plus hand-picked intersection /
@@ -152,6 +159,139 @@ let test_look_edge_cases () =
   (* nested lookaround: b preceded by a that is followed by "bc" *)
   check_spans "(?<=a(?=bc))b" "abc abd" [ (1, 2) ]
 
+(* --- The lazy DFA against the position-memo oracle --------------------- *)
+
+module Oracle = Alveare_test_support.Deriv_oracle
+module W = Alveare_workloads
+
+let show_span = function None -> "none" | Some s -> Fmt.str "%a" S.pp_span s
+
+(* The first disagreement of [eng] with [oracle] on [input]: [find_all],
+   [search ~from] at a few origins, and [match_at] at the [starts]
+   picked from the input length and the oracle's spans (default: every
+   position). [~probes:false] checks [find_all] alone. *)
+let oracle_divergence ?(probes = true)
+    ?(starts = fun n _ -> List.init (n + 1) Fun.id) eng oracle input =
+  let n = String.length input in
+  let got = Engine.find_all eng input and want = Oracle.find_all oracle input in
+  let origins = if probes then [ 0; 1; n / 3; n / 2; n - 1; n; n + 1 ] else [] in
+  let starts = if probes then starts n want else [] in
+  if got <> want then
+    Some (Fmt.str "find_all %s oracle %s" (show_spans got) (show_spans want))
+  else
+    let search from =
+      let got = Engine.search ~from eng input
+      and want = Oracle.search ~from oracle input in
+      if got = want then None
+      else Some (Fmt.str "search ~from:%d %s oracle %s" from (show_span got) (show_span want))
+    in
+    let match_at s =
+      let got = Engine.match_at eng input s and want = Oracle.match_at oracle input s in
+      if got = want then None
+      else
+        let show = function None -> "none" | Some e -> string_of_int e in
+        Some (Fmt.str "match_at %d: %s oracle %s" s (show got) (show want))
+    in
+    match List.find_map search origins with
+    | Some _ as d -> d
+    | None -> List.find_map match_at (List.filter (fun s -> s <= n) starts)
+
+let oracle_property ~name ~count gen =
+  let prop (ast, input) =
+    match oracle_divergence (Engine.of_ast ast) (Oracle.of_ast ast) input with
+    | None -> true
+    | Some d -> QCheck2.Test.fail_report d
+  in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~count ~name ~print:Gen_ast.print_ast_and_input gen prop)
+
+let test_oracle_extended () =
+  oracle_property ~name:"lazy DFA = oracle (extended)" ~count:500
+    Gen_ast.gen_extended_ast_and_input
+
+let test_oracle_nested () =
+  oracle_property ~name:"lazy DFA = oracle (nested lookarounds)" ~count:500
+    Gen_ast.gen_nested_ast_and_input
+
+(* The policy benchmark's rules (sampler seed 31) over its 8 KiB pool of
+   128-byte blocks and ten permutations of the blocks, one engine per
+   rule across all eleven inputs. The oracle's lookbehinds are quadratic,
+   so only the pool gets the [search] and [match_at] probes. *)
+let test_oracle_policy () =
+  let asts =
+    List.map (Desugar.pattern_exn ~extended:true)
+      (W.Policy.patterns (W.Rng.create 31) 16)
+  in
+  let pool =
+    (W.Streams.generate ~rng:(W.Rng.create 32) ~size:(8 * 1024)
+       ~background:W.Policy.background
+       ~plant:(W.Streams.plant_of_patterns ~asts) ~plant_every:1024 ())
+      .W.Streams.data
+  in
+  let blocks = List.init (String.length pool / 128) (fun i -> String.sub pool (i * 128) 128) in
+  let inputs =
+    pool
+    :: List.init 10 (fun k ->
+        String.concat "" (W.Rng.shuffle (W.Rng.create (((k + 1) * 1000) + 32)) blocks))
+  in
+  List.iter
+    (fun ast ->
+       let eng = Engine.of_ast ast and oracle = Oracle.of_ast ast in
+       List.iteri
+         (fun k input ->
+            let starts n spans =
+              [ 0; 1; n / 2; n ]
+              @ List.filteri (fun i _ -> i < 8)
+                  (List.map (fun (s : S.span) -> s.S.start) spans)
+            in
+            match oracle_divergence ~probes:(k = 0) ~starts eng oracle input with
+            | None -> ()
+            | Some d -> Alcotest.failf "%s: %s" (Ast.to_pattern ast) d)
+         inputs)
+    asts
+
+(* Past 62 lookarounds a mask no longer fits an int of bits and is
+   interned instead: 64 two-byte lookbehinds each guarding a byte, and
+   eight lookaheads. *)
+let test_oracle_wide_masks () =
+  let bytes = List.init 8 (fun i -> Char.chr (Char.code 'a' + i)) in
+  let look behind negative body tail =
+    Ast.Concat [ Ast.Look ({ Ast.behind; negative }, body); tail ]
+  in
+  let pair x y = Ast.Concat [ Ast.Char x; Ast.Char y ] in
+  let ast =
+    Ast.Alt
+      (List.concat_map
+         (fun x -> List.map (fun y -> look true false (pair x y) (Ast.Char x)) bytes)
+         bytes
+       @ List.map (fun x -> look false true (pair x x) (Ast.Char x)) bytes)
+  in
+  let rng = W.Rng.create 5 in
+  let eng = Engine.of_ast ast and oracle = Oracle.of_ast ast in
+  for _ = 1 to 20 do
+    let input = String.init 60 (fun _ -> W.Rng.char_of rng "abcdefgh") in
+    match oracle_divergence eng oracle input with
+    | None -> ()
+    | Some d -> Alcotest.failf "wide masks on %S: %s" input d
+  done
+
+(* Tables capped at two entries and an arena at 16 nodes: every scan
+   flushes and rebuilds, and the spans stay the oracle's. *)
+module Tiny = Engine.Make (struct let max_entries = 2 let max_nodes = 16 end)
+
+let test_bounded_tables () =
+  let rng = W.Rng.create 12 in
+  let flushes = ref 0 in
+  for _ = 1 to 300 do
+    let ast, input = Gen_ast.random_extended_case rng in
+    let eng = Tiny.of_ast ast in
+    (match oracle_divergence eng (Oracle.of_ast ast) input with
+     | None -> ()
+     | Some d -> Alcotest.failf "capped: %s on %S: %s" (Ast.to_pattern ast) input d);
+    flushes := !flushes + Engine.flushes eng
+  done;
+  Alcotest.(check bool) "the caps were hit" true (!flushes > 0)
+
 (* --- Algebraic identities as language equivalence ---------------------- *)
 
 let inputs_for n =
@@ -275,6 +415,16 @@ let () =
             test_lowering_corpus;
           Alcotest.test_case "policy witness contract" `Quick
             test_policy_witnesses ] );
+      ( "oracle",
+        [ Alcotest.test_case "random extended vs oracle" `Quick
+            test_oracle_extended;
+          Alcotest.test_case "nested lookarounds vs oracle" `Quick
+            test_oracle_nested;
+          Alcotest.test_case "policy rules vs oracle" `Quick test_oracle_policy;
+          Alcotest.test_case "more than 62 lookarounds vs oracle" `Quick
+            test_oracle_wide_masks;
+          Alcotest.test_case "bounded tables vs oracle" `Quick
+            test_bounded_tables ] );
       ( "algebra",
         [ Alcotest.test_case "identities" `Quick test_identities;
           Alcotest.test_case "prefer-continue priority" `Quick

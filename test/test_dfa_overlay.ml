@@ -240,12 +240,72 @@ let test_finite_stack_bypasses () =
     (after.Dfa.dfa_attempts = before.Dfa.dfa_attempts
      && after.Dfa.bails = before.Dfa.bails)
 
+(* The overlay finaliser runs inside whatever allocation the GC picks,
+   possibly on a thread holding a family mutex. Past 128 families a
+   domain drops its instance table, so every scan of a 600-rule set
+   creates instances and retires the last scan's; a small minor heap and
+   a full major collection between scans make the finalisers run often.
+   No scan may raise (a finaliser that locked the family mutex failed
+   with "Resource deadlock avoided"), and the counters never go down —
+   read after the scan, after one major cycle (instances finalised but
+   not yet collected) and after the full collection. A collected family
+   leaves the process-wide totals, so this test runs first, before any
+   other test has made (and dropped) a family. *)
+let test_finaliser_churn () =
+  let module W = Alveare_workloads in
+  let module Ruleset = Alveare_compiler.Ruleset in
+  let pats =
+    W.Snort.patterns (W.Rng.create 7) 200
+    @ W.Powren.patterns (W.Rng.create 8) 200
+    @ W.Protomata.patterns (W.Rng.create 9) 200
+  in
+  let rs =
+    Ruleset.compile_exn ~cache:(Compile.create_cache ~capacity:1024 ())
+      (List.mapi (fun i p -> (string_of_int i, p)) pats)
+  in
+  let asts =
+    List.filteri (fun i _ -> i mod 10 = 0) pats
+    |> List.map (fun p -> Alveare_frontend.Desugar.pattern_exn p)
+  in
+  let input =
+    (W.Streams.generate ~rng:(W.Rng.create 10) ~size:2048
+       ~background:W.Snort.background ~plant:(W.Streams.plant_of_patterns ~asts)
+       ())
+      .W.Streams.data
+  in
+  let grew (a : Dfa.cache_stats) (b : Dfa.cache_stats) =
+    b.states_built >= a.states_built && b.transitions_built >= a.transitions_built
+    && b.hits >= a.hits && b.misses >= a.misses && b.flushes >= a.flushes
+    && b.bails >= a.bails && b.dfa_attempts >= a.dfa_attempts
+  in
+  let gc = Gc.get () in
+  Gc.set { gc with Gc.minor_heap_size = 4096 };
+  Fun.protect ~finally:(fun () -> Gc.set gc) (fun () ->
+      let last = ref (Dfa.global_stats ()) in
+      let read () =
+        let now = Dfa.global_stats () in
+        check "global stats never decrease" true (grew !last now);
+        last := now
+      in
+      for _ = 1 to 10 do
+        ignore (Ruleset.scan rs input);
+        read ();
+        Gc.major ();
+        read ();
+        Gc.full_major ();
+        read ()
+      done;
+      check "the overlay ran" true (!last.Dfa.dfa_attempts > 0))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest [ prop_dfa_equals_plan; prop_tiny_budget ]
 
 let () =
   Alcotest.run "dfa_overlay"
-    [ ("differential", qsuite);
+    [ ( "lifecycle",
+        [ Alcotest.test_case "finaliser under instance churn" `Quick
+            test_finaliser_churn ] );
+      ("differential", qsuite);
       ( "seams",
         [ Alcotest.test_case "fragment-boundary handoff" `Quick
             test_fragment_handoff;

@@ -134,7 +134,36 @@ let test_nest_fusion () =
   (* incompatible greediness, neither exact: unchanged *)
   (match opt "(x{1,2}?){1,3}" with
    | Ast.Repeat (Ast.Repeat _, _) -> ()
-   | other -> Alcotest.failf "(x{1,2}?){1,3}: %s" (Fmt.str "%a" Ast.pp other))
+   | other -> Alcotest.failf "(x{1,2}?){1,3}: %s" (Fmt.str "%a" Ast.pp other));
+  (* an exact outer count fuses whatever the inner minimum *)
+  same "(x{2,3}){2} -> x{4,6}" (opt "(x{2,3}){2}") (Desugar.pattern_exn "x{4,6}");
+  (* an unbounded greedy inner takes every copy it can: no stranding *)
+  same "(x{2,})+ -> x{2,}" (opt "(x{2,})+") (Desugar.pattern_exn "x{2,}");
+  (* inner minimum >= 2 under a free outer count, bodies of varying
+     width: the nest tries totals in another order, unchanged *)
+  List.iter
+    (fun pat ->
+       match opt pat with
+       | Ast.Repeat (Ast.Repeat _, _) -> ()
+       | other -> Alcotest.failf "%s: %s" pat (Fmt.str "%a" Ast.pp other))
+    [ "(b{3,5})+"; "(b{2,3})+"; "([bc]{2,3}?)+?"; "(x{2,}?)+?"; "((b|bc){1,2}){2}" ]
+
+(* A greedy iteration over b{a,b} with a >= 2 can strand fewer than a
+   copies and end the loop short: the nest's spans, raw and optimised. *)
+let test_nest_stranding () =
+  List.iter
+    (fun (pat, input, want) ->
+       List.iter
+         (fun (what, ast) ->
+            let got =
+              List.map (fun (s : Alveare_engine.Semantics.span) -> (s.start, s.stop))
+                (Backtrack.find_all ast input)
+            in
+            if got <> want then
+              Alcotest.failf "%s %s on %S: %s" what pat input
+                (String.concat " " (List.map (fun (a, b) -> Printf.sprintf "[%d,%d)" a b) got)))
+         [ ("raw", Desugar.pattern_exn pat); ("optimised", opt pat) ])
+    [ ("(b{3,5})+", "bbbbbb", [ (0, 5) ]); ("(b{2,3})+", "bbbb", [ (0, 3) ]) ]
 
 let test_rolling () =
   (* dotted quads roll into a counted group *)
@@ -196,6 +225,10 @@ let preservation_corpus =
     ("(x{2}){1,3}", "xxxxx");
     ("(x{1,2}){2}", "xxx");
     ("(x{0,2}){2,3}", "xxxxx");
+    ("(b{3,5})+", "bbbbbb");
+    ("(b{2,3})+", "bbbb");
+    ("([bc]{2,3}?)+?c", "bbbcc");
+    ("((b|bc){1,2}){2}", "bbcb");
     ("a|a", "aa");
     ("ab|ac|ad|q", "xacq");
     ("php3|php4|php5", "see php4 and php5");
@@ -292,6 +325,7 @@ let () =
           Alcotest.test_case "dead branches" `Quick test_dead_branches;
           Alcotest.test_case "repeat coalescing" `Quick test_repeat_coalescing;
           Alcotest.test_case "nest fusion" `Quick test_nest_fusion;
+          Alcotest.test_case "nest stranding" `Quick test_nest_stranding;
           Alcotest.test_case "rolling" `Quick test_rolling;
           Alcotest.test_case "idempotent" `Quick test_fixpoint_idempotent;
           Alcotest.test_case "pathological nests" `Quick test_pathological_nests
