@@ -558,7 +558,8 @@ let opt_ablation () : (string * float) list =
    The headline number for the fused multi-pattern engine: the full
    600-rule lint-sweep corpus (the three samplers at seeds 11/12/13,
    200 rules each) as ONE ruleset over one witness-planted stream —
-   host wall time per scan with the fused sweep on and off, the
+   host wall time per scan of [Ruleset.scan] (the fused sweep) and of
+   the rule-by-rule reference scan from the test support library, the
    same-run speedup (gated >= 2x in compare.ml, immune to machine
    drift), and an identity flag over the tagged hits, the per-rule
    cycles and every aggregate counter (the fused engine claims
@@ -632,8 +633,8 @@ let onepass_ablation () : (string * float) list =
               .Streams.data)
          workloads)
   in
-  let run_onepass () = Ruleset.scan ~onepass:true rs input in
-  let run_per_rule () = Ruleset.scan ~onepass:false rs input in
+  let run_onepass () = Ruleset.scan rs input in
+  let run_per_rule () = Alveare_test_support.Per_rule.scan ~dfa:true rs input in
   let on = run_onepass () in
   let off = run_per_rule () in
   let tagged (r : Ruleset.report) =

@@ -195,9 +195,10 @@ let run_derivative eng data ~quiet ~compare =
 
 (* Ruleset mode: one pattern per line (blank lines and # comments
    skipped), tagged by line number; the whole set scans the input in
-   one call — through the fused one-pass engine unless --no-onepass. *)
+   one call — through the fused one-pass engine when single-core and
+   prefiltered. *)
 let run_ruleset rules_path data ~cores ~quiet ~stats_flag ~no_prefilter
-    ~no_dfa ~no_onepass ~extended =
+    ~no_dfa ~extended =
   let specs =
     read_file rules_path
     |> String.split_on_char '\n'
@@ -221,7 +222,7 @@ let run_ruleset rules_path data ~cores ~quiet ~stats_flag ~no_prefilter
     | Ok rs ->
       let report =
         Ruleset.scan ~cores ~prefilter:(not no_prefilter) ~dfa:(not no_dfa)
-          ~onepass:(not no_onepass) rs data
+          rs data
       in
       if not quiet then
         List.iter
@@ -237,7 +238,7 @@ let run_ruleset rules_path data ~cores ~quiet ~stats_flag ~no_prefilter
         "%d hit(s) from %d rule(s) in %d bytes on %d core(s)%s@."
         (List.length report.Ruleset.hits)
         (Ruleset.size rs) (String.length data) cores
-        (if no_onepass || no_prefilter || cores > 1 then ""
+        (if no_prefilter || cores > 1 then ""
          else " (fused one-pass sweep)");
       Fmt.pr "wall cycles: %d (%.3f ms with dispatch)@."
         report.Ruleset.total_wall_cycles
@@ -258,8 +259,7 @@ let run_ruleset rules_path data ~cores ~quiet ~stats_flag ~no_prefilter
       0
 
 let run pattern binary rules text file cores quiet stats_flag trace_path
-    compare lint no_verify no_prefilter no_opt no_dfa no_onepass extended
-    engine =
+    compare lint no_verify no_prefilter no_opt no_dfa extended engine =
   let input =
     match text, file with
     | Some t, None -> Ok t
@@ -274,7 +274,7 @@ let run pattern binary rules text file cores quiet stats_flag trace_path
      | None, None, Ok data ->
        (try
           run_ruleset rules_path data ~cores ~quiet ~stats_flag ~no_prefilter
-            ~no_dfa ~no_onepass ~extended
+            ~no_dfa ~extended
         with Sys_error m ->
           Fmt.epr "alveare_run: %s@." m;
           1)
@@ -392,8 +392,7 @@ let rules_arg =
            ~doc:"Scan a whole ruleset: one pattern per line (blank lines \
                  and # comments skipped), every rule over the input in one \
                  call. Single-core prefiltered scans run the fused one-pass \
-                 engine (one shared sweep for the whole set) unless \
-                 $(b,--no-onepass).")
+                 engine (one shared sweep for the whole set).")
 
 let text_arg =
   Arg.(value & opt (some string) None
@@ -457,14 +456,6 @@ let no_dfa_flag =
                  are bit-identical either way; only host simulation speed \
                  changes.")
 
-let no_onepass_flag =
-  Arg.(value & flag
-       & info [ "no-onepass" ]
-           ~doc:"With --rules: disable the fused one-pass engine and scan \
-                 one rule at a time. Hits, cycles and stats are \
-                 bit-identical either way — the ablation switch for \
-                 benchmarking the shared sweep.")
-
 let extended_flag =
   Arg.(value & flag
        & info [ "extended" ]
@@ -490,6 +481,6 @@ let cmd =
       const run $ pattern_arg $ binary_arg $ rules_arg $ text_arg $ file_arg
       $ cores_arg $ quiet_flag $ stats_flag $ trace_arg $ compare_flag
       $ lint_flag $ no_verify_flag $ no_prefilter_flag $ no_opt_flag
-      $ no_dfa_flag $ no_onepass_flag $ extended_flag $ engine_arg)
+      $ no_dfa_flag $ extended_flag $ engine_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -42,8 +42,8 @@ let summarize metrics =
   end
 
 let main socket tcp queue workers scan_workers cores cache_capacity
-    idle_timeout no_lint_gate max_poly_degree max_input no_dfa no_onepass
-    extended quiet =
+    idle_timeout no_lint_gate max_poly_degree max_input no_dfa extended
+    quiet =
   let addr =
     match (socket, tcp) with
     | _, Some port -> Server.Tcp ("", port)
@@ -58,8 +58,7 @@ let main socket tcp queue workers scan_workers cores cache_capacity
       max_polynomial_degree = max_poly_degree;
       max_input;
       dfa = not no_dfa;
-      extended;
-      onepass = not no_onepass }
+      extended }
   in
   let cfg =
     { Server.default_config with
@@ -169,15 +168,6 @@ let no_dfa_arg =
                  either way; this only trades host throughput, e.g. to \
                  isolate the plan executor when profiling.")
 
-let no_onepass_arg =
-  Arg.(value & flag
-       & info [ "no-onepass" ]
-           ~doc:"Disable the fused one-pass ruleset engine (single shared \
-                 sweep dispatching the whole ruleset) and scan one rule at \
-                 a time instead. Responses are bit-identical either way; \
-                 this is the ablation switch for benchmarking the fused \
-                 sweep.")
-
 let extended_arg =
   Arg.(value & flag
        & info [ "extended" ]
@@ -208,7 +198,7 @@ let cmd =
     Term.(
       const main $ socket_arg $ tcp_arg $ queue_arg $ workers_arg
       $ scan_workers_arg $ cores_arg $ cache_arg $ idle_arg $ no_lint_gate_arg
-      $ max_poly_degree_arg $ max_input_arg $ no_dfa_arg $ no_onepass_arg
-      $ extended_arg $ quiet_arg)
+      $ max_poly_degree_arg $ max_input_arg $ no_dfa_arg $ extended_arg
+      $ quiet_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -345,176 +345,56 @@ let dense_next offset = Some offset
 
 (* --- Plan-path scanners -------------------------------------------------
 
-   Same accounting, pre-decoded execution. [scan_plan] mirrors
-   [scan_from] for an arbitrary candidate source; [scan_plan_dense]
-   specialises the dense scan: the leading-filter table turns runs of
-   rejected offsets into one memchr-style skip loop over unsafe byte
-   reads instead of a per-offset closure call, with the run lengths —
-   and hence every counter and scan-cycle charge — unchanged. *)
-
-(* Lazy-DFA overlay session for one scan. The overlay is engaged only
-   when the caller's family was built from this very plan (physical
-   equality guards against a mismatched ?plan/?dfa pair) and the
-   instance is available ([acquire] refuses finite stack capacities and
-   contended instances). The lock is taken once per scan, not per
-   attempt. *)
-let dfa_session ?dfa ~config plan =
-  match dfa with
-  | Some fam when Dfa_overlay.plan_of fam == plan ->
-    let t = Dfa_overlay.get fam in
-    if Dfa_overlay.acquire t ~config then Some t else None
-  | Some _ | None -> None
-
-let dfa_finish = function
-  | Some t -> Dfa_overlay.release t
-  | None -> ()
+   Same accounting, pre-decoded execution: every plan-path scan drives
+   one [Scan_cursor] with its candidate source. [scan_plan] takes an
+   arbitrary source; [scan_plan_dense] derives one from the leading
+   filter, a memchr-style skip loop over unsafe byte reads instead of a
+   per-offset closure call, with the run lengths — and hence every
+   counter and scan-cycle charge — unchanged. *)
 
 let scan_plan ?dfa ~config ~stats ~all ~next plan scratch input from =
   let n = String.length input in
-  let leading = Plan.leading plan in
-  let found = ref [] in
-  let rejected_run = ref 0 in
-  let flush_run () =
-    if !rejected_run > 0 then begin
-      let cycles =
-        (!rejected_run + config.compute_units - 1) / config.compute_units
-      in
-      stats.scan_cycles <- stats.scan_cycles + cycles;
-      stats.cycles <- stats.cycles + cycles;
-      rejected_run := 0
-    end
-  in
-  let prune k =
-    stats.offsets_scanned <- stats.offsets_scanned + k;
-    stats.offsets_pruned <- stats.offsets_pruned + k;
-    rejected_run := !rejected_run + k
-  in
-  let filter_pass cand =
-    match leading with
-    | Plan.Lead_none -> true
-    | Plan.Lead_literal lit -> cand < n && Plan.literal_matches input cand lit
-    | Plan.Lead_set bits ->
-      cand < n && Plan.set_mem bits (String.unsafe_get input cand)
-  in
-  let session = dfa_session ?dfa ~config plan in
-  let run_attempt cand =
-    match session with
-    | Some t -> Dfa_overlay.run_acquired t ~config ~stats scratch input cand
-    | None -> Plan.run ~config ~stats plan scratch input cand
-  in
+  let c = Scan_cursor.start ~dfa ~config ~stats ~all plan scratch input from in
   let rec go offset =
-    if offset > n then flush_run ()
-    else begin
+    if offset <= n then
       match next offset with
-      | None ->
-        prune (n - offset + 1);
-        flush_run ()
-      | Some cand ->
-        if cand > offset then prune (cand - offset);
-        stats.offsets_scanned <- stats.offsets_scanned + 1;
-        if not (filter_pass cand) then begin
-          stats.offsets_pruned <- stats.offsets_pruned + 1;
-          incr rejected_run;
-          go (cand + 1)
-        end
-        else begin
-          flush_run ();
-          match run_attempt cand with
-          | Some stop ->
-            let span = { Span.start = cand; stop } in
-            found := span :: !found;
-            stats.match_count <- stats.match_count + 1;
-            if all then go (Span.next_scan_position span) else flush_run ()
-          | None -> go (cand + 1)
-        end
-    end
+      | Some cand -> go (Scan_cursor.offer c cand)
+      | None -> ()
   in
-  (try go from with e -> dfa_finish session; raise e);
-  dfa_finish session;
-  List.rev !found
+  (try go from with e -> Scan_cursor.release c; raise e);
+  Scan_cursor.finish c
 
+(* [skip offset] = smallest offset >= [offset] whose byte can start the
+   leading filter (the cursor then runs the full test), or [n] when none
+   is left: offset [n] itself fails any filter that consumes a byte, so
+   offering it prunes the tail. *)
 let scan_plan_dense ?dfa ~config ~stats ~all plan scratch input from =
   let n = String.length input in
-  match Plan.leading plan with
-  | Plan.Lead_none ->
-    (* No leading filter: every offset is attempted, no runs to skip. *)
-    scan_plan ?dfa ~config ~stats ~all ~next:dense_next plan scratch input from
-  | Plan.Lead_literal lit when String.length lit = 0 ->
-    (* Degenerate leading AND over zero chars: passes everywhere. *)
-    scan_plan ?dfa ~config ~stats ~all ~next:dense_next plan scratch input from
-  | (Plan.Lead_literal _ | Plan.Lead_set _) as leading ->
-    (* [skip offset] = smallest offset >= [offset] passing the leading
-       filter, or [n] when none is left (offset [n] itself can never
-       pass: the filter consumes a byte). *)
-    let skip =
-      match leading with
-      | Plan.Lead_set bits ->
-        fun offset ->
-          let j = ref offset in
-          while !j < n && not (Plan.set_mem bits (String.unsafe_get input !j))
-          do incr j done;
-          !j
-      | Plan.Lead_literal lit ->
-        let c0 = String.unsafe_get lit 0 in
-        fun offset ->
-          let j = ref offset in
-          while
-            !j < n
-            && (not (Char.equal (String.unsafe_get input !j) c0)
-                || not (Plan.literal_matches input !j lit))
-          do incr j done;
-          !j
-      | Plan.Lead_none -> assert false
-    in
-    let found = ref [] in
-    let rejected_run = ref 0 in
-    let flush_run () =
-      if !rejected_run > 0 then begin
-        let cycles =
-          (!rejected_run + config.compute_units - 1) / config.compute_units
-        in
-        stats.scan_cycles <- stats.scan_cycles + cycles;
-        stats.cycles <- stats.cycles + cycles;
-        rejected_run := 0
-      end
-    in
-    let prune k =
-      stats.offsets_scanned <- stats.offsets_scanned + k;
-      stats.offsets_pruned <- stats.offsets_pruned + k;
-      rejected_run := !rejected_run + k
-    in
-    let session = dfa_session ?dfa ~config plan in
-    let run_attempt cand =
-      match session with
-      | Some t -> Dfa_overlay.run_acquired t ~config ~stats scratch input cand
-      | None -> Plan.run ~config ~stats plan scratch input cand
-    in
-    let rec go offset =
-      if offset > n then flush_run ()
-      else begin
-        let cand = skip offset in
-        if cand >= n then begin
-          (* offsets offset..n-1 fail the filter; offset n is gated. *)
-          prune (n - offset + 1);
-          flush_run ()
-        end
-        else begin
-          if cand > offset then prune (cand - offset);
-          stats.offsets_scanned <- stats.offsets_scanned + 1;
-          flush_run ();
-          match run_attempt cand with
-          | Some stop ->
-            let span = { Span.start = cand; stop } in
-            found := span :: !found;
-            stats.match_count <- stats.match_count + 1;
-            if all then go (Span.next_scan_position span) else flush_run ()
-          | None -> go (cand + 1)
-        end
-      end
-    in
-    (try go from with e -> dfa_finish session; raise e);
-    dfa_finish session;
-    List.rev !found
+  let skip =
+    match Plan.leading plan with
+    | Plan.Lead_set bits ->
+      fun offset ->
+        let j = ref offset in
+        while !j < n && not (Plan.set_mem bits (String.unsafe_get input !j))
+        do incr j done;
+        !j
+    | Plan.Lead_literal lit when String.length lit > 0 ->
+      let c0 = String.unsafe_get lit 0 in
+      fun offset ->
+        let j = ref offset in
+        while !j < n && not (Char.equal (String.unsafe_get input !j) c0)
+        do incr j done;
+        !j
+    | Plan.Lead_literal _ | Plan.Lead_none ->
+      (* no filter, or a zero-width one: every offset is a candidate *)
+      Fun.id
+  in
+  let c = Scan_cursor.start ~dfa ~config ~stats ~all plan scratch input from in
+  let rec go offset =
+    if offset <= n then go (Scan_cursor.offer c (skip offset))
+  in
+  (try go from with e -> Scan_cursor.release c; raise e);
+  Scan_cursor.finish c
 
 (* --- Entry points -------------------------------------------------------
 
@@ -545,15 +425,10 @@ let match_at ?(config = default_config) ?stats ?trace ?plan ?dfa
   | None ->
     let plan = plan_of ?plan program in
     let scratch = scratch_of ?scratch () in
-    (match dfa_session ?dfa ~config plan with
-     | Some t ->
-       let r =
-         try Dfa_overlay.run_acquired t ~config ~stats scratch input start
-         with e -> Dfa_overlay.release t; raise e
-       in
-       Dfa_overlay.release t;
-       r
-     | None -> Plan.run ~config ~stats plan scratch input start)
+    (match dfa with
+     | Some fam when Dfa_overlay.plan_of fam == plan ->
+       Dfa_overlay.run (Dfa_overlay.get fam) ~config ~stats scratch input start
+     | Some _ | None -> Plan.run ~config ~stats plan scratch input start)
 
 (* Candidate sources from compile-time prefilter facts are built inline
    in [search]/[find_all] (they close over the input string). Soundness:

@@ -8,7 +8,9 @@
     program once into a pre-decoded {!Plan.t} — bitmap character
     classes, absolute jump targets, reusable speculation scratch — and
     scans with a memchr-style skip loop; validation happens at plan
-    build, not per call. The legacy instruction-at-a-time interpreter
+    build, not per call. Every plan-path scan drives a {!Scan_cursor},
+    the one copy of the scan-loop body, which the fused ruleset sweep
+    drives too. The legacy instruction-at-a-time interpreter
     remains behind [?trace] (waveforms need its per-cycle events) and
     [~use_plan:false] (the differential oracle). Both return identical
     spans and bit-identical {!stats}; the [@plancheck] battery pins

@@ -905,150 +905,3 @@ let run t ?(config = Machine.default_config) ~(stats : Machine.stats)
     r
   end
   else Plan.run ~config ~stats t.fam.fplan scratch input start
-
-(* --- Product-overlay threads -------------------------------------------- *)
-
-(* The fused ruleset sweep advances many rules over ONE pass of the
-   input, so an attempt cannot run [run_dfa]'s inner loop to completion:
-   instead the attempt's registers are reified into a [thread] and fed
-   one input symbol at a time, interleaved with every other rule's
-   thread. [thread_feed] is [apply] unrolled by one symbol — the same
-   delta/checkpoint arithmetic against the same cached transitions —
-   so a thread that resolves via the table carries exactly the counter
-   deltas [run_dfa] would have produced, and [thread_commit] is
-   [finish]. A bail (unresolvable transition or arena flush) discards
-   the thread with stats untouched; the caller re-runs the attempt via
-   [run_acquired], which is the contract bails always had. *)
-
-type thread = {
-  th_t : t;
-  mutable th_sid : int;
-  mutable th_stale : int;
-  (* forward deltas (run_dfa's fi/fr/fp/fpk) *)
-  mutable th_fi : int;
-  mutable th_fr : int;
-  mutable th_fp : int;
-  mutable th_fpk : int;
-  (* deferred unwind (the r_a fields of regs) *)
-  mutable th_ai : int;
-  mutable th_ar : int;
-  mutable th_ap : int;
-  mutable th_apk : int;
-  (* match checkpoint (the r_ck / r_hck / r_ce fields of regs) *)
-  mutable th_hck : bool;
-  mutable th_ce : int;
-  mutable th_cki : int;
-  mutable th_ckr : int;
-  mutable th_ckp : int;
-  mutable th_ckpk : int;
-}
-
-type thread_status =
-  | Th_running
-  | Th_matched of int
-  | Th_failed
-  | Th_bailed
-
-let thread_start t =
-  (* State id 0 is always [state0]: [create_instance] interns it first
-     and [flush] re-interns it first, so a fresh thread is valid even
-     right after an arena flush. *)
-  { th_t = t; th_sid = 0; th_stale = 0;
-    th_fi = 0; th_fr = 0; th_fp = 0; th_fpk = 0;
-    th_ai = 0; th_ar = 0; th_ap = 0; th_apk = 0;
-    th_hck = false; th_ce = 0;
-    th_cki = 0; th_ckr = 0; th_ckp = 0; th_ckpk = 0 }
-
-let thread_feed th (input : string) (pos : int) : thread_status =
-  let t = th.th_t in
-  let n = String.length input in
-  let b = if pos < n then Char.code (String.unsafe_get input pos) else 256 in
-  let resolved =
-    (* Re-read [t.rows.data] every feed: another resolution on this
-       instance (a bail re-run) may have flushed the arena since the
-       last feed — but only between feeds, never under us. *)
-    let row = Array.unsafe_get t.rows.data th.th_sid in
-    let tr = Array.unsafe_get row b in
-    if tr == unbuilt_trans then begin
-      t.c_misses <- t.c_misses + 1;
-      try Some (build_missing t th.th_sid b row) with Bail -> None
-    end
-    else begin
-      t.c_hits <- t.c_hits + 1;
-      Some tr
-    end
-  in
-  match resolved with
-  | None ->
-    t.c_bails <- t.c_bails + 1;
-    Th_bailed
-  | Some tr ->
-    th.th_fi <- th.th_fi + tr.d_instr;
-    th.th_fr <- th.th_fr + tr.d_rolls;
-    th.th_fp <- th.th_fp + tr.d_pushes;
-    if tr.rel_peak > 0 && th.th_stale + tr.rel_peak > th.th_fpk then
-      th.th_fpk <- th.th_stale + tr.rel_peak;
-    let next = tr.t_next in
-    if next >= 0 then begin
-      (if tr.ck_idx >= 0 then begin
-         th.th_hck <- true;
-         th.th_ce <- pos;
-         th.th_cki <- tr.ck_instr;
-         th.th_ckr <- tr.ck_rolls;
-         th.th_ckp <- tr.ck_pushes;
-         th.th_ckpk <-
-           (if tr.ck_peak > 0 then th.th_stale + tr.ck_idx + tr.ck_peak
-            else 0);
-         th.th_ai <- tr.a_instr;
-         th.th_ar <- tr.a_rolls;
-         th.th_ap <- tr.a_pushes;
-         th.th_apk <-
-           (if tr.a_peakrel >= 0 then th.th_stale + tr.a_peakrel else 0)
-       end
-       else if tr.n_staled > 0 then begin
-         th.th_ai <- th.th_ai + tr.a_instr;
-         th.th_ar <- th.th_ar + tr.a_rolls;
-         th.th_ap <- th.th_ap + tr.a_pushes;
-         if tr.a_peakrel >= 0 && th.th_stale + tr.a_peakrel > th.th_apk then
-           th.th_apk <- th.th_stale + tr.a_peakrel
-       end);
-      th.th_sid <- next;
-      th.th_stale <- th.th_stale + tr.n_staled;
-      Th_running
-    end
-    else if next = k_match then begin
-      t.c_attempts <- t.c_attempts + 1;
-      Th_matched pos
-    end
-    else if next = k_fail then begin
-      (* Fold the deferred unwind (and checkpoint, if any) into the
-         forward deltas so [thread_commit] charges the exact failure
-         (or checkpointed-match) totals. *)
-      th.th_fi <- th.th_fi + th.th_ai;
-      th.th_fr <- th.th_fr + th.th_ar;
-      th.th_fp <- th.th_fp + th.th_ap;
-      if th.th_apk > th.th_fpk then th.th_fpk <- th.th_apk;
-      t.c_attempts <- t.c_attempts + 1;
-      if th.th_hck then begin
-        th.th_fi <- th.th_fi + th.th_cki;
-        th.th_fr <- th.th_fr + th.th_ckr;
-        th.th_fp <- th.th_fp + th.th_ckp;
-        if th.th_ckpk > th.th_fpk then th.th_fpk <- th.th_ckpk;
-        Th_matched th.th_ce
-      end
-      else Th_failed
-    end
-    else begin
-      (* cached bail transition (deltas are all zero) *)
-      t.c_bails <- t.c_bails + 1;
-      Th_bailed
-    end
-
-let thread_commit th ~(stats : Machine.stats) =
-  stats.Machine.attempts <- stats.Machine.attempts + 1;
-  stats.Machine.instructions <- stats.Machine.instructions + th.th_fi;
-  stats.Machine.cycles <- stats.Machine.cycles + th.th_fi + th.th_fr;
-  stats.Machine.rollbacks <- stats.Machine.rollbacks + th.th_fr;
-  stats.Machine.stack_pushes <- stats.Machine.stack_pushes + th.th_fp;
-  if th.th_fpk > stats.Machine.max_stack_depth then
-    stats.Machine.max_stack_depth <- th.th_fpk

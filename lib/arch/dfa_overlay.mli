@@ -72,7 +72,9 @@ val run :
 
     A scan runs one attempt per candidate offset; taking the instance
     lock per attempt would cost more than the table saves on short
-    attempts. [acquire] takes it once for the whole scan. *)
+    attempts. [acquire] takes it once for the whole scan. Every
+    plan-path scan, the fused ruleset sweep's included, holds its
+    session through {!Scan_cursor}. *)
 
 val acquire : t -> config:Machine.config -> bool
 (** Try to reserve the table for a scan. [false] — leaving the caller
@@ -89,49 +91,6 @@ val run_acquired :
   Plan.scratch -> string -> int -> int option
 (** {!run} without the locking: caller holds the instance via
     {!acquire}. Falls back to {!Plan.run} internally on a bail. *)
-
-(** {1 Product-overlay threads}
-
-    The fused one-pass ruleset scan advances many rules over a single
-    sweep of the input, so a backtracking-free rule's attempt cannot
-    run the table loop to completion in one call. A [thread] reifies
-    one in-flight attempt's registers; the sweep feeds it one input
-    symbol per step, interleaved with every other rule — the product
-    overlay over the group of fully-covered rules. The arithmetic per
-    fed symbol is exactly the attempt loop's, so a thread that
-    resolves on the table carries the same counter deltas a
-    {!run_acquired} call would have produced.
-
-    Protocol: the caller holds the instance via {!acquire}, keeps at
-    most one live thread per instance, and feeds consecutive positions
-    starting at the attempt's start offset. Feeding position
-    [String.length input] (end of input) always resolves the thread.
-    On [Th_matched] / [Th_failed], apply the frozen deltas with
-    {!thread_commit}. On [Th_bailed] the thread dies with stats
-    untouched — re-run the attempt via {!run_acquired}, the contract
-    bails always had. *)
-
-type thread
-
-type thread_status =
-  | Th_running            (** consumed the symbol; feed the next one *)
-  | Th_matched of int     (** attempt matched, ending at this offset *)
-  | Th_failed             (** attempt failed *)
-  | Th_bailed             (** not table-executable: re-run the attempt *)
-
-val thread_start : t -> thread
-(** A fresh attempt thread at the table's start state. Valid across
-    arena flushes (state 0 is always the start state). *)
-
-val thread_feed : thread -> string -> int -> thread_status
-(** [thread_feed th input pos] advances the attempt by the symbol at
-    [pos] (end-of-input when [pos = length input]). Once a non-running
-    status is returned the thread is dead. *)
-
-val thread_commit : thread -> stats:Machine.stats -> unit
-(** Apply a resolved thread's per-attempt deltas to [stats] — exactly
-    what {!Plan.run} would have charged for the same attempt. Call
-    once, only after [Th_matched] or [Th_failed]. *)
 
 (** {1 Cache observability} *)
 

@@ -1,41 +1,33 @@
 (* Fused one-pass ruleset engine (single-pass multi-pattern scan).
 
-   The per-rule scan path walks the whole stream once per rule: each
-   covered rule consumes its Aho-Corasick candidate bucket, every other
-   rule runs its own first-set skip loop — O(rules) passes of filter
+   A per-rule scan walks the whole stream once per rule: each covered
+   rule consumes its Aho-Corasick candidate bucket, every other rule
+   runs its own first-set skip loop — O(rules) passes of filter
    machinery over the same bytes, which dominates at Snort-scale
    rulesets even after the prefilter removed most attempts. This module
    fuses the whole ruleset into ONE streaming pass:
 
    - the Aho-Corasick literal automaton is stepped inline, filling the
-     covered rules' candidate buckets exactly as [candidates_by_rule]
-     would (same pushes, same sort_uniq) — those rules still attempt
-     post-sweep, since AC reports at literal END positions;
+     covered rules' candidate buckets exactly as a per-rule
+     [Ac.find_iter] bucketing would (same pushes, same sort_uniq) —
+     those rules still attempt post-sweep, since AC reports at literal
+     END positions;
    - every non-covered, non-anchored rule with a usable first set gets
      a 256-entry shared dispatch table slot per first-set byte; the
-     sweep delivers each position whose byte is in the rule's first
-     bitmap to a per-rule incremental scan machine that replays
-     [Core.scan_plan]'s exact query/prune/filter/attempt sequence —
-     the candidate stream "byte at position i is in the first set" is
-     precisely what the per-rule prefilter skip loop enumerates, so
-     every counter charge lands identically;
-   - where such a rule is additionally backtracking-free over its whole
-     plan ([safe_fragments] covers every op) and its lazy-DFA overlay
-     instance is available, attempts run as {!Dfa_overlay.thread}s fed
-     byte-per-byte INSIDE the sweep — the product overlay over the
-     union of those rules: one pass, one table lookup per live rule per
-     byte, per-rule acceptance tags. Candidates arriving while a
-     thread is in flight are parked and replayed the moment it
-     resolves, preserving the sequential attempt order bit-exactly.
+     sweep offers each position whose byte is in the rule's first
+     bitmap to the rule's {!Scan_cursor}, the same scan-loop body
+     [Core.scan_plan] drives — the candidate stream "byte at position i
+     is in the first set" is precisely what the per-rule prefilter skip
+     loop enumerates, so every counter charge lands identically.
 
    Everything else (anchored, nullable, no-first-set, derivative
-   backend) is left to the caller's residual per-rule path, which is
-   unchanged. The hits, spans, and every per-rule stats counter are
-   bit-identical to the per-rule scan — the @onepasscheck differential
-   battery pins this. *)
+   backend) is left to the caller's residual per-rule path. The hits,
+   spans, and every per-rule stats counter are bit-identical to a
+   per-rule scan — the @onepasscheck differential battery pins this. *)
 
 module Core = Alveare_arch.Core
 module Plan = Alveare_arch.Plan
+module Scan_cursor = Alveare_arch.Scan_cursor
 module Dfa = Alveare_arch.Dfa_overlay
 module Ac = Alveare_prefilter.Ac
 module Pf = Alveare_prefilter.Prefilter
@@ -46,7 +38,7 @@ module Span = Alveare_engine.Semantics
 type klass =
   | K_residual  (* caller's per-rule path: anchored / nullable / derivative *)
   | K_ac        (* AC-covered: candidates collected by the shared sweep *)
-  | K_first     (* first-set dispatch: scanned in-sweep by a machine *)
+  | K_first     (* first-set dispatch: scanned in-sweep by a cursor *)
 
 type ac_index = {
   ai_ac : Ac.t;
@@ -56,27 +48,11 @@ type ac_index = {
 type t = {
   rules : Compile.compiled array;
   klass : klass array;
-  product_ok : bool array;  (* fully fragment-covered: thread-capable *)
   dispatch : int array array;
       (* byte -> K_first rule indices (ascending) whose first set
          contains it; merged from the per-rule first bitmaps *)
   ac : ac_index option;
 }
-
-(* Thread execution never leaves the transition table only if the safe
-   fragments cover every op of the plan; partial coverage keeps the
-   rule on instant per-candidate attempts (which bail per-attempt). *)
-let fully_safe (c : Compile.compiled) =
-  let nops = Array.length (Plan.ops c.Compile.plan) in
-  nops > 0
-  && begin
-    let covered = Array.make nops false in
-    List.iter
-      (fun (lo, hi) ->
-         for pc = max 0 lo to min nops hi - 1 do covered.(pc) <- true done)
-      c.Compile.safe_fragments;
-    Array.for_all (fun x -> x) covered
-  end
 
 let build ~(rules : Compile.compiled array)
     ~(ac : (Ac.t * (int * int) array * bool array) option) : t =
@@ -96,12 +72,6 @@ let build ~(rules : Compile.compiled array)
              else K_residual)
       rules
   in
-  let product_ok =
-    Array.mapi
-      (fun i (c : Compile.compiled) ->
-         klass.(i) = K_first && c.Compile.dfa <> None && fully_safe c)
-      rules
-  in
   let dispatch_l = Array.make 256 [] in
   for i = Array.length rules - 1 downto 0 do
     if klass.(i) = K_first then begin
@@ -114,7 +84,6 @@ let build ~(rules : Compile.compiled array)
   done;
   { rules;
     klass;
-    product_ok;
     dispatch = Array.map Array.of_list dispatch_l;
     ac = Option.map (fun (a, r, _) -> { ai_ac = a; ai_refs = r }) ac }
 
@@ -156,239 +125,50 @@ type outcome =
       (* K_first: scanned in-sweep; stats and spans are exactly the
          per-rule scan's *)
   | Candidates of int array
-      (* K_ac: sorted candidate starts, identical to
-         [candidates_by_rule]; the caller attempts post-sweep *)
+      (* K_ac: sorted candidate starts, identical to a per-rule
+         [Ac.find_iter] bucketing; the caller attempts post-sweep *)
   | Residual
       (* untouched by the sweep: caller's per-rule path *)
 
-(* One K_first rule's incremental replica of [Core.scan_plan]. The
-   sweep delivers the rule's candidate positions in ascending order;
-   the machine carries scan_plan's cursor ([m_offset]), pending
-   rejected-run length, and found list, so the per-event arithmetic is
-   the loop body of scan_plan verbatim. While a product thread is in
-   flight the machine is blocked and arriving candidates park in
-   [m_pending]; resolution replays them in order. *)
-type machine = {
-  m_plan : Plan.t;
-  m_scratch : Plan.scratch;
-  m_leading : Plan.leading;
-  m_stats : Core.stats;
-  mutable m_found : Span.span list;  (* reversed *)
-  mutable m_offset : int;
-  mutable m_rejected : int;
-  m_session : Dfa.t option;  (* acquired overlay instance, if any *)
-  m_product : bool;
-  mutable m_thread : Dfa.thread option;
-  mutable m_thread_start : int;
-  mutable m_pending : int array;
-  mutable m_pending_len : int;
-}
-
+(* Every K_first rule drives one [Scan_cursor] over the whole input:
+   the sweep offers it each position whose byte is in the rule's first
+   set, in ascending order, which is exactly the candidate stream
+   [Core.scan_plan]'s prefilter source enumerates — so every counter
+   charge lands identically. Each candidate is attempted at once, on the
+   rule's overlay session when the cursor holds one. *)
 let scan (t : t) ?(dfa = true) (input : string) : outcome array =
   let n = String.length input in
   let nr = Array.length t.rules in
-  let config = Core.default_config in
-  let outcomes = Array.make nr Residual in
-  let machines = Array.make nr None in
-  let sessions = ref [] in
-  let product_sessions = ref [] in
-  let states_built () =
-    List.fold_left
-      (fun acc d -> acc + (Dfa.stats_of d).Dfa.states_built)
-      0 !product_sessions
-  in
-  let n_product = ref 0 in
-  Fun.protect ~finally:(fun () -> List.iter Dfa.release !sessions)
+  let cursors = Array.make nr None in
+  Fun.protect
+    ~finally:(fun () ->
+        Array.iter (Option.iter (fun (_, c, _) -> Scan_cursor.release c))
+          cursors)
   @@ fun () ->
   Array.iteri
     (fun i (c : Compile.compiled) ->
        if t.klass.(i) = K_first then begin
-         let session =
-           (* mirror of [Core.dfa_session]: engage only a family built
-              from this very plan, and never wait on a held instance *)
-           if dfa then
-             match c.Compile.dfa with
-             | Some fam when Dfa.plan_of fam == c.Compile.plan ->
-               let d = Dfa.get fam in
-               if Dfa.acquire d ~config then begin
-                 sessions := d :: !sessions;
-                 Some d
-               end
-               else None
-             | Some _ | None -> None
-           else None
+         let stats = Core.fresh_stats () in
+         let cur =
+           Scan_cursor.start
+             ~dfa:(if dfa then c.Compile.dfa else None)
+             ~config:Core.default_config ~stats ~all:true c.Compile.plan
+             (Plan.create_scratch ()) input 0
          in
-         let product = t.product_ok.(i) && session <> None in
-         if product then begin
-           incr n_product;
-           product_sessions := Option.get session :: !product_sessions
-         end;
-         machines.(i) <-
-           Some
-             { m_plan = c.Compile.plan;
-               m_scratch = Plan.create_scratch ();
-               m_leading = Plan.leading c.Compile.plan;
-               m_stats = Core.fresh_stats ();
-               m_found = [];
-               m_offset = 0;
-               m_rejected = 0;
-               m_session = session;
-               m_product = product;
-               m_thread = None;
-               m_thread_start = 0;
-               m_pending = Array.make 8 0;
-               m_pending_len = 0 }
+         let states =
+           match Scan_cursor.session cur with
+           | Some d -> (Dfa.stats_of d).Dfa.states_built
+           | None -> 0
+         in
+         cursors.(i) <- Some (stats, cur, states)
        end)
     t.rules;
-  let states_before = states_built () in
-  (* scan_plan's loop body, split into per-event pieces *)
-  let flush_run m =
-    if m.m_rejected > 0 then begin
-      let cycles =
-        (m.m_rejected + config.Core.compute_units - 1)
-        / config.Core.compute_units
-      in
-      m.m_stats.Core.scan_cycles <- m.m_stats.Core.scan_cycles + cycles;
-      m.m_stats.Core.cycles <- m.m_stats.Core.cycles + cycles;
-      m.m_rejected <- 0
-    end
-  in
-  let prune m k =
-    m.m_stats.Core.offsets_scanned <- m.m_stats.Core.offsets_scanned + k;
-    m.m_stats.Core.offsets_pruned <- m.m_stats.Core.offsets_pruned + k;
-    m.m_rejected <- m.m_rejected + k
-  in
-  let filter_pass m cand =
-    match m.m_leading with
-    | Plan.Lead_none -> true
-    | Plan.Lead_literal lit ->
-      cand < n && Plan.literal_matches input cand lit
-    | Plan.Lead_set bits ->
-      cand < n && Plan.set_mem bits (String.unsafe_get input cand)
-  in
-  let run_attempt m cand =
-    match m.m_session with
-    | Some d ->
-      Dfa.run_acquired d ~config ~stats:m.m_stats m.m_scratch input cand
-    | None -> Plan.run ~config ~stats:m.m_stats m.m_plan m.m_scratch input cand
-  in
-  let record_match m span =
-    m.m_found <- span :: m.m_found;
-    m.m_stats.Core.match_count <- m.m_stats.Core.match_count + 1;
-    m.m_offset <- Span.next_scan_position span
-  in
-  let attempt_at m cand =
-    flush_run m;
-    match run_attempt m cand with
-    | Some stop -> record_match m { Span.start = cand; stop }
-    | None -> m.m_offset <- cand + 1
-  in
-  (* Candidate below the cursor: scan_plan would never query it. A
-     candidate at or past it is by construction the smallest such one
-     (candidates arrive ascending and processing always moves the
-     cursor past the processed candidate), i.e. exactly what
-     [next m_offset] would have returned. *)
-  let accept_instant m cand =
-    if cand >= m.m_offset then begin
-      if cand > m.m_offset then prune m (cand - m.m_offset);
-      m.m_stats.Core.offsets_scanned <- m.m_stats.Core.offsets_scanned + 1;
-      if not (filter_pass m cand) then begin
-        m.m_stats.Core.offsets_pruned <- m.m_stats.Core.offsets_pruned + 1;
-        m.m_rejected <- m.m_rejected + 1;
-        m.m_offset <- cand + 1
-      end
-      else attempt_at m cand
-    end
-  in
-  let drain_pending m =
-    for k = 0 to m.m_pending_len - 1 do
-      accept_instant m m.m_pending.(k)
-    done;
-    m.m_pending_len <- 0
-  in
-  let resolve m th status =
-    let s = m.m_thread_start in
-    m.m_thread <- None;
-    (match status with
-     | Dfa.Th_matched stop ->
-       Dfa.thread_commit th ~stats:m.m_stats;
-       record_match m { Span.start = s; stop }
-     | Dfa.Th_failed ->
-       Dfa.thread_commit th ~stats:m.m_stats;
-       m.m_offset <- s + 1
-     | Dfa.Th_bailed ->
-       (* stats untouched by the dead thread; re-run the whole attempt
-          on the session, which is a bail's normal contract *)
-       (match run_attempt m s with
-        | Some stop -> record_match m { Span.start = s; stop }
-        | None -> m.m_offset <- s + 1)
-     | Dfa.Th_running -> assert false);
-    drain_pending m
-  in
-  let spawned = ref 0 in
-  (* Candidate arriving at the sweep position for an idle machine: a
-     product machine starts a thread (fed this byte immediately),
-     anything else attempts in place. *)
-  let accept m cand =
-    if cand >= m.m_offset then begin
-      if cand > m.m_offset then prune m (cand - m.m_offset);
-      m.m_stats.Core.offsets_scanned <- m.m_stats.Core.offsets_scanned + 1;
-      if not (filter_pass m cand) then begin
-        m.m_stats.Core.offsets_pruned <- m.m_stats.Core.offsets_pruned + 1;
-        m.m_rejected <- m.m_rejected + 1;
-        m.m_offset <- cand + 1
-      end
-      else if m.m_product then begin
-        flush_run m;
-        let d = match m.m_session with Some d -> d | None -> assert false in
-        let th = Dfa.thread_start d in
-        m.m_thread <- Some th;
-        m.m_thread_start <- cand;
-        incr spawned;
-        match Dfa.thread_feed th input cand with
-        | Dfa.Th_running -> ()  (* caller moves it to the active list *)
-        | status -> resolve m th status
-      end
-      else attempt_at m cand
-    end
-  in
-  let push_pending m cand =
-    if m.m_pending_len >= Array.length m.m_pending then begin
-      let d = Array.make (2 * Array.length m.m_pending) 0 in
-      Array.blit m.m_pending 0 d 0 m.m_pending_len;
-      m.m_pending <- d
-    end;
-    m.m_pending.(m.m_pending_len) <- cand;
-    m.m_pending_len <- m.m_pending_len + 1
-  in
-  (* rule indices with a live thread; swap-removed on resolution *)
-  let active = Array.make (max 1 !n_product) 0 in
-  let n_active = ref 0 in
-  let feed_threads pos =
-    let k = ref 0 in
-    while !k < !n_active do
-      let ri = active.(!k) in
-      let m =
-        match machines.(ri) with Some m -> m | None -> assert false
-      in
-      let th =
-        match m.m_thread with Some th -> th | None -> assert false
-      in
-      match Dfa.thread_feed th input pos with
-      | Dfa.Th_running -> incr k
-      | status ->
-        resolve m th status;
-        decr n_active;
-        active.(!k) <- active.(!n_active)
-    done
-  in
   let buckets =
     match t.ac with Some _ -> Array.make nr [] | None -> [||]
   in
   let ac_state = ref Ac.root in
   let disp_count = ref 0 and ac_count = ref 0 in
   for i = 0 to n - 1 do
-    if !n_active > 0 then feed_threads i;
     (match t.ac with
      | Some a ->
        ac_state := Ac.step a.ai_ac !ac_state (String.unsafe_get input i);
@@ -407,44 +187,38 @@ let scan (t : t) ?(dfa = true) (input : string) : outcome array =
       Array.unsafe_get t.dispatch (Char.code (String.unsafe_get input i))
     in
     for k = 0 to Array.length ds - 1 do
-      let ri = Array.unsafe_get ds k in
-      match machines.(ri) with
-      | Some m ->
+      match cursors.(Array.unsafe_get ds k) with
+      | Some (_, cur, _) ->
         incr disp_count;
-        if m.m_thread <> None then push_pending m i
-        else begin
-          accept m i;
-          if m.m_thread <> None then begin
-            active.(!n_active) <- ri;
-            incr n_active
-          end
-        end
+        ignore (Scan_cursor.offer cur i)
       | None -> assert false
     done
   done;
-  (* End of input: symbol 256 always resolves a thread (no transition
-     consumes it), so every blocked machine drains here. *)
-  if !n_active > 0 then feed_threads n;
-  assert (!n_active = 0);
-  Array.iteri
-    (fun i mo ->
-       match mo with
-       | Some m ->
-         (* scan_plan's terminal branch: prune the un-queried tail *)
-         if m.m_offset <= n then prune m (n - m.m_offset + 1);
-         flush_run m;
-         outcomes.(i) <- Scanned (m.m_stats, List.rev m.m_found)
-       | None ->
-         if t.klass.(i) = K_ac then
-           outcomes.(i) <-
-             Candidates
-               (Array.of_list (List.sort_uniq compare buckets.(i))))
-    machines;
+  let sessions = ref 0 and session_attempts = ref 0 and states = ref 0 in
+  let outcomes =
+    Array.mapi
+      (fun i cursor ->
+         match cursor with
+         | Some (stats, cur, states0) ->
+           (match Scan_cursor.session cur with
+            | Some d ->
+              incr sessions;
+              session_attempts := !session_attempts + stats.Core.attempts;
+              states :=
+                !states + (Dfa.stats_of d).Dfa.states_built - states0
+            | None -> ());
+           Scanned (stats, Scan_cursor.finish cur)
+         | None ->
+           if t.klass.(i) = K_ac then
+             Candidates (Array.of_list (List.sort_uniq compare buckets.(i)))
+           else Residual)
+      cursors
+  in
   Atomic.incr c_scans;
   atomic_add c_bytes n;
   atomic_add c_dispatch !disp_count;
   atomic_add c_ac !ac_count;
-  atomic_add c_prules !n_product;
-  atomic_add c_pthreads !spawned;
-  atomic_add c_pstates (max 0 (states_built () - states_before));
+  atomic_add c_prules !sessions;
+  atomic_add c_pthreads !session_attempts;
+  atomic_add c_pstates !states;
   outcomes

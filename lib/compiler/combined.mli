@@ -2,14 +2,13 @@
 
     Compiles a whole ruleset's scan-side machinery into one shared
     sweep: the Aho-Corasick literal automaton and every non-covered
-    rule's first-set dispatch run over the input ONCE, dispatching into
-    per-rule attempt machines; rules that are backtracking-free over
-    their whole plan additionally execute as lazy-DFA overlay
-    {e product threads} — table-per-byte inside the shared sweep, with
-    per-rule acceptance tags. Spans and every per-rule stats counter
-    are bit-identical to the per-rule scan path ({!Ruleset.scan} with
-    [~onepass:false]); the [@onepasscheck] differential battery pins
-    this.
+    rule's first-set dispatch run over the input ONCE. Each dispatched
+    rule drives its own {!Alveare_arch.Scan_cursor} — the scan-loop
+    body {!Alveare_arch.Core} uses — which attempts every first-set
+    candidate at once, on the rule's lazy-DFA overlay session when it
+    holds one. Spans and every per-rule stats counter are bit-identical
+    to a per-rule scan; the fused-sweep differential battery pins this
+    against the per-rule reference in the test support library.
 
     This module is the scan engine only: {!Ruleset} owns rule
     metadata, classification inputs (the AC index), the post-sweep
@@ -34,9 +33,8 @@ val build :
 (** Per-rule result of one fused sweep. *)
 type outcome =
   | Scanned of Alveare_arch.Core.stats * Alveare_engine.Semantics.span list
-      (** scanned in-sweep (first-set dispatch, possibly as a product
-          thread): exactly the stats and spans the per-rule scan would
-          have produced *)
+      (** scanned in-sweep (first-set dispatch): exactly the stats and
+          spans the per-rule scan would have produced *)
   | Candidates of int array
       (** AC-covered: sorted candidate start offsets, identical to the
           per-rule bucketing; the caller attempts post-sweep *)
@@ -47,22 +45,26 @@ type outcome =
 val scan : t -> ?dfa:bool -> string -> outcome array
 (** One streaming pass over the input. [dfa] (default true) gates the
     overlay sessions — with it off, first-set rules attempt on
-    {!Alveare_arch.Plan.run} and no product threads spawn, results
-    unchanged. Runs entirely on the calling domain. *)
+    {!Alveare_arch.Plan.run}, results unchanged. Runs entirely on the
+    calling domain. *)
 
 (** {1 Scan counters}
 
     Process-wide monotone counters over all fused scans, exported as
-    [ruleset/*] server gauges. *)
+    [ruleset/*] server gauges. The [product_*] fields keep the names of
+    the sweep's former per-byte overlay threads; they now count the
+    sweep's work on overlay sessions. *)
 
 type counters = {
   onepass_scans : int;        (** fused sweeps run *)
   shared_pass_bytes : int;    (** input bytes swept *)
   dispatch_candidates : int;  (** first-set dispatch deliveries *)
   ac_candidates : int;        (** candidate bucket entries collected *)
-  product_rules : int;        (** rules eligible as product threads *)
-  product_threads : int;      (** product thread attempts spawned *)
-  product_states : int;       (** overlay states built during sweeps *)
+  product_rules : int;
+      (** first-set rules that held an overlay session in a sweep *)
+  product_threads : int;      (** sweep attempts run on an overlay session *)
+  product_states : int;
+      (** overlay states those sessions built during sweeps *)
 }
 
 val counters : unit -> counters

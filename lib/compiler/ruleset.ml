@@ -73,22 +73,12 @@ let build_index (rules : compiled_rule array) : index option =
         refs = Array.of_list (List.rev !refs);
         covered }
 
-(* One automaton pass over the stream; candidate start offsets per rule,
-   sorted ascending and deduplicated. *)
-let candidates_by_rule idx input n_rules =
-  let buckets = Array.make n_rules [] in
-  Alveare_prefilter.Ac.find_iter idx.ac input (fun ~pat ~pos ->
-      let rule_idx, lit_offset = idx.refs.(pat) in
-      let start = pos - lit_offset in
-      if start >= 0 then buckets.(rule_idx) <- start :: buckets.(rule_idx));
-  Array.map (fun l -> Array.of_list (List.sort_uniq compare l)) buckets
-
 (* Slice-parallel AC bucketing (multi-core scans): each worker runs the
    chunked automaton pass over one slice of reporting indices into
    private buckets ({!Alveare_prefilter.Ac.find_iter_chunk} — the exact
    sub-multiset of the full pass owned by that index range). Reporting
    indices ascend across slices, so concatenating in slice order and
-   deduplicating reproduces [candidates_by_rule] exactly. *)
+   deduplicating reproduces a single full pass's buckets exactly. *)
 let candidates_by_rule_sliced ?workers idx input n_rules ~slices =
   let n = String.length input in
   let slice = (n + slices - 1) / slices in
@@ -267,39 +257,31 @@ let scan_covered_multicore ~cores ~dfa (r : compiled_rule)
    results are folded back in rule order, so hits and cycle accounting
    are identical to the sequential scan.
 
-   With [prefilter] (the default) rules whose required literals are in
-   the Aho-Corasick index attempt only at candidate offsets (one
-   automaton pass over the stream — sliced and merged across workers
-   when [cores > 1]); every other rule scans with its first-set skip
-   loop. Hits are identical to the unfiltered scan either way.
-
-   With [onepass] (the default) single-core prefiltered scans run the
-   fused {!Combined} engine: ONE shared sweep walks the AC automaton
-   and dispatches first-set candidates into per-rule machines (product
-   overlay threads where the whole plan is backtracking-free), instead
-   of one pass per rule. Hits, spans, per-rule cycles and every
-   counter are bit-identical to [~onepass:false]; only host scan speed
-   changes. Multi-core scans ignore the flag (slicing already shares
-   the AC pass). *)
-let scan ?(cores = 1) ?workers ?(prefilter = true) ?(dfa = true)
-    ?(onepass = true) (t : t) (input : string) : report =
+   With [prefilter] (the default) single-core scans run the fused
+   {!Combined} sweep: ONE pass walks the AC automaton and dispatches
+   first-set candidates into per-rule scan cursors; AC-covered rules
+   then attempt only at their candidate offsets. Multi-core scans slice
+   the AC pass across workers instead, and every other rule scans with
+   its first-set skip loop. Hits are identical to the unfiltered scan
+   either way. *)
+let scan ?(cores = 1) ?workers ?(prefilter = true) ?(dfa = true) (t : t)
+    (input : string) : report =
   let dfa_of (r : compiled_rule) =
     if dfa then r.compiled.Compile.dfa else None
   in
-  let n_rules = Array.length t.rules in
-  let fused =
-    if onepass && prefilter && cores = 1 then
-      Some (Combined.scan t.fused ~dfa input)
-    else None
-  in
-  let candidates =
-    match t.index, fused with
-    | Some idx, None when prefilter ->
-      if cores = 1 then Some (idx, candidates_by_rule idx input n_rules)
-      else
-        Some (idx, candidates_by_rule_sliced ?workers idx input n_rules
-                ~slices:cores)
-    | _ -> None
+  let outcome =
+    if prefilter && cores = 1 then Array.get (Combined.scan t.fused ~dfa input)
+    else
+      match t.index with
+      | Some idx when prefilter ->
+        let cands =
+          candidates_by_rule_sliced ?workers idx input (Array.length t.rules)
+            ~slices:cores
+        in
+        fun i ->
+          if idx.covered.(i) then Combined.Candidates cands.(i)
+          else Combined.Residual
+      | Some _ | None -> fun _ -> Combined.Residual
   in
   let per_rule_results =
     Alveare_exec.Pool.map ?workers
@@ -349,21 +331,14 @@ let scan ?(cores = 1) ?workers ?(prefilter = true) ?(dfa = true)
            ( r.rule, 0, Alveare_derivative.Engine.find_all eng input,
              (0, 0, 0), false )
          | Compile.Isa | Compile.Isa_lowered ->
-         (match fused with
-         | Some outcomes ->
-           (match outcomes.(i) with
+           (match outcome i with
             | Combined.Scanned (stats, matches) ->
               ( r.rule, stats.Core.cycles, matches,
                 (stats.Core.attempts, stats.Core.offsets_scanned,
                  stats.Core.offsets_pruned),
                 false )
             | Combined.Candidates cands -> from_candidates cands
-            | Combined.Residual -> residual ())
-         | None ->
-           (match candidates with
-            | Some (idx, cands) when idx.covered.(i) ->
-              from_candidates cands.(i)
-            | _ -> residual ())))
+            | Combined.Residual -> residual ()))
       (Array.mapi (fun i r -> (i, r)) t.rules)
   in
   let hits =

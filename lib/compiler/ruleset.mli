@@ -89,8 +89,7 @@ type report = {
 }
 
 val scan :
-  ?cores:int -> ?workers:int -> ?prefilter:bool -> ?dfa:bool ->
-  ?onepass:bool -> t -> string ->
+  ?cores:int -> ?workers:int -> ?prefilter:bool -> ?dfa:bool -> t -> string ->
   report
 (** Rules run sequentially on the DSA (one compiled RE in instruction
     memory at a time); [cores] parallelises each rule over the stream on
@@ -99,26 +98,21 @@ val scan :
     the report — hits, per-rule cycles, modelled seconds — is identical
     to the sequential scan for any value.
 
-    [prefilter] (default [true]): rules covered by the literal {!index}
-    attempt only at candidate offsets from one Aho-Corasick pass over
-    the stream — sliced across workers and merged when [cores > 1] —
-    and every other rule scans with its first-set prefilter. Hits are
-    identical with prefiltering on or off — only attempts/cycles
-    change.
+    [prefilter] (default [true]): single-core scans run the fused
+    {!Combined} engine — one shared sweep walking the literal automaton
+    and the merged first-set dispatch table — and rules covered by the
+    literal {!index} then attempt only at their candidate offsets. With
+    [cores > 1] the automaton pass is sliced across workers and merged
+    instead, and every other rule scans with its first-set prefilter.
+    Hits are identical with prefiltering on or off — only
+    attempts/cycles change. The report is bit-identical to a rule-by-rule
+    scan; the fused-sweep differential battery pins this against the
+    per-rule reference in the test support library.
 
     [dfa] (default [true]): rules whose compilation carries a lazy-DFA
     overlay family execute their backtracking-free fragments on the
     transition table ({!Alveare_arch.Dfa_overlay}); hits, cycles and
     every stat are bit-identical with it on or off — only host
-    simulation speed changes.
-
-    [onepass] (default [true]): prefiltered single-core scans run the
-    fused {!Combined} engine — one shared sweep walking the literal
-    automaton and the merged first-set dispatch table, with product
-    overlay threads for fully backtracking-free rules — instead of one
-    pass per rule. The report is bit-identical to [~onepass:false]
-    (the [@onepasscheck] battery pins this); only host scan speed
-    changes. Ignored when [cores > 1] (slicing already shares the AC
-    pass) or with [~prefilter:false]. *)
+    simulation speed changes. *)
 
 val hits_for : report -> int -> hit list

@@ -544,32 +544,23 @@ let filter_led ast =
   go ast
 
 (* When the source pattern led with a consuming atom but the rewritten
-   one leads with a mandatory counted repeat of a single-byte atom
-   (head coalescing: [^a][^a]{3} => [^a]{4}), peel one copy back off
-   so the filter survives — attempt counts must never regress. The
-   peel is sound for any greediness: the first copy of a qmin >= 1
-   repeat is consumed unconditionally. *)
-let peel_head ast =
-  let peel = function
-    | Ast.Repeat (((Ast.Char _ | Ast.Class _ | Ast.Any) as x), q)
-      when q.Ast.qmin >= 1 ->
-      let q' =
-        { q with
-          Ast.qmin = q.Ast.qmin - 1;
-          qmax = Option.map (fun m -> m - 1) q.Ast.qmax }
-      in
-      Some (if q'.Ast.qmax = Some 0 then [ x ] else [ x; Ast.Repeat (x, q') ])
-    | _ -> None
-  in
+   one leads with a mandatory repeat (head coalescing: [^a][^a]{3} =>
+   [^a]{4}; rolling: cc*?acc*?a => (c+?a){2}), peel one copy back off,
+   recursively through nested leading repeats, so the filter survives —
+   attempt counts must never regress. The peel is sound for any
+   greediness: the first copy of a qmin >= 1 repeat is consumed
+   unconditionally. *)
+let rec peel_head ast =
   match ast with
-  | Ast.Repeat _ as r ->
-    (match peel r with
-     | Some parts -> Desugar.normalize (Ast.Concat parts)
-     | None -> ast)
-  | Ast.Concat (hd :: tl) ->
-    (match peel hd with
-     | Some parts -> Desugar.normalize (Ast.Concat (parts @ tl))
-     | None -> ast)
+  | Ast.Repeat (x, q) when q.Ast.qmin >= 1 ->
+    let q' =
+      { q with
+        Ast.qmin = q.Ast.qmin - 1;
+        qmax = Option.map (fun m -> m - 1) q.Ast.qmax }
+    in
+    let rest = if q'.Ast.qmax = Some 0 then [] else [ Ast.Repeat (x, q') ] in
+    Desugar.normalize (Ast.Concat (peel_head x :: rest))
+  | Ast.Concat (hd :: tl) -> Desugar.normalize (Ast.Concat (peel_head hd :: tl))
   | _ -> ast
 
 let optimize (ast : Ast.t) : Ast.t =
@@ -579,4 +570,7 @@ let optimize (ast : Ast.t) : Ast.t =
   in
   let ast = Desugar.normalize ast in
   let out = fixpoint max_passes ast in
-  if filter_led ast && not (filter_led out) then peel_head out else out
+  if filter_led ast && not (filter_led out) then
+    let peeled = peel_head out in
+    if filter_led peeled then peeled else ast
+  else out

@@ -30,7 +30,6 @@ type config = {
   max_input : int;
   dfa : bool;
   extended : bool;
-  onepass : bool;
 }
 
 let default_config =
@@ -41,8 +40,7 @@ let default_config =
     max_polynomial_degree = None;
     max_input = 16 * 1024 * 1024;
     dfa = true;
-    extended = false;
-    onepass = true }
+    extended = false }
 
 type t = {
   config : config;
@@ -301,7 +299,7 @@ let handle_ruleset_scan t ~id ~rules ~input ~allow_risky =
           let t0 = Unix.gettimeofday () in
           let report =
             Ruleset.scan ~cores:t.config.cores ~workers:t.config.scan_workers
-              ~dfa:t.config.dfa ~onepass:t.config.onepass rs input
+              ~dfa:t.config.dfa rs input
           in
           let s : Protocol.scan_stats =
             { attempts = report.Ruleset.total_attempts;

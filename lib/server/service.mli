@@ -43,18 +43,12 @@ type config = {
           [extended-operator-unanalyzed]/[Linear]). The wire protocol
           is unchanged; capability is advertised via the [Health]
           version suffix [+extended]. *)
-  onepass : bool;
-      (** run prefiltered single-core ruleset scans on the fused
-          one-pass engine ({!Alveare_compiler.Combined}) — one shared
-          sweep for the whole ruleset instead of one pass per rule.
-          Responses are bit-identical with it off; only host scan
-          throughput changes. *)
 }
 
 val default_config : config
 (** Shared default cache, 1 worker, 1 core, gate on (exponential only,
     [max_polynomial_degree = None]), 16 MiB input cap, overlay on,
-    extended dialect off, one-pass ruleset scans on. *)
+    extended dialect off. *)
 
 type t
 

@@ -354,13 +354,14 @@ let run_opt_corpus ?(on_failure = fun _ _ -> ()) ~count ~seed () : failure list 
 
 module Ruleset = Alveare_compiler.Ruleset
 
-(* The fused engine's contract ([Ruleset.scan ~onepass:true], PR 10):
-   for any ruleset, input and core count, the report is bit-identical
-   to the per-rule path's — tagged (rule, span) hits in the same
-   order, the same per-rule cycles, and the same aggregate attempt /
-   scanned / pruned / prefiltered counters. Checked with the overlay
-   on and off (the off path pins the instant-attempt machines), and
-   hits additionally against the unfiltered scan (ground truth). *)
+(* The fused engine's contract: for any ruleset and input, the
+   single-core prefiltered [Ruleset.scan] report is bit-identical to the
+   rule-by-rule reference ([Per_rule.scan]) — tagged (rule, span) hits
+   in the same order, the same per-rule cycles, and the same aggregate
+   attempt / scanned / pruned / prefiltered counters. Checked with the
+   overlay on and off (the off path pins plain-plan attempts), and hits
+   additionally against the unfiltered scan (ground truth) at every
+   core count in [cores]. *)
 let check_onepass_case ?(cores = [ 1; 4 ]) (specs : (string * string) list)
     (input : string) : failure list =
   match Ruleset.compile specs with
@@ -388,37 +389,25 @@ let check_onepass_case ?(cores = [ 1; 4 ]) (specs : (string * string) list)
                  Fmt.str "%d:%d-%d" id sp.S.start sp.S.stop)
               (tagged r)))
     in
-    let counters (r : Ruleset.report) =
-      ( r.Ruleset.per_rule_cycles, r.Ruleset.total_wall_cycles,
-        r.Ruleset.total_attempts, r.Ruleset.total_offsets_scanned,
-        r.Ruleset.total_offsets_pruned, r.Ruleset.prefiltered_rules )
-    in
-    let identical name on off =
-      if tagged on <> tagged off then
-        fail name
-          (Fmt.str "hits diverge@.  onepass:  %s@.  per-rule: %s"
-             (show_report on) (show_report off));
-      if counters on <> counters off then
-        fail name
-          (Fmt.str "stats diverge@.  onepass:  %s@.  per-rule: %s"
-             (show_report on) (show_report off))
-    in
+    List.iter
+      (fun dfa ->
+         let fused = Ruleset.scan ~dfa rs input in
+         let reference = Per_rule.scan ~dfa rs input in
+         if fused <> reference then
+           fail
+             (if dfa then "onepass" else "onepass-nodfa")
+             (Fmt.str "report diverges@.  fused:    %s@.  per-rule: %s"
+                (show_report fused) (show_report reference)))
+      [ true; false ];
     List.iter
       (fun cores ->
-         let on = Ruleset.scan ~cores ~onepass:true rs input in
-         let off = Ruleset.scan ~cores ~onepass:false rs input in
-         identical (Fmt.str "onepass-c%d" cores) on off;
-         let on_nd = Ruleset.scan ~cores ~dfa:false ~onepass:true rs input in
-         let off_nd =
-           Ruleset.scan ~cores ~dfa:false ~onepass:false rs input
-         in
-         identical (Fmt.str "onepass-c%d-nodfa" cores) on_nd off_nd;
+         let scan = Ruleset.scan ~cores rs input in
          let dense = Ruleset.scan ~cores ~prefilter:false rs input in
-         if tagged on <> tagged dense then
+         if tagged scan <> tagged dense then
            fail
              (Fmt.str "onepass-c%d-vs-dense" cores)
-             (Fmt.str "hits diverge@.  onepass: %s@.  dense:   %s"
-                (show_report on) (show_report dense)))
+             (Fmt.str "hits diverge@.  prefiltered: %s@.  dense:       %s"
+                (show_report scan) (show_report dense)))
       cores;
     !failures
 

@@ -1,12 +1,13 @@
 (* Fused one-pass ruleset scan (lib/compiler/combined.ml): the
    [@onepasscheck] battery. Pins the bit-identity contract —
-   [Ruleset.scan ~onepass:true] produces the same tagged hits, the same
-   per-rule cycles and the same aggregate counters as the per-rule path
-   — on handcrafted rulesets covering every rule class, on random
-   rulesets, and on the three workload samplers. *)
+   [Ruleset.scan] produces the same tagged hits, the same per-rule
+   cycles and the same aggregate counters as the rule-by-rule reference
+   scan ([Per_rule.scan]) — on handcrafted rulesets covering every rule
+   class, on random rulesets, and on the three workload samplers. *)
 
 module Ruleset = Alveare_compiler.Ruleset
 module Combined = Alveare_compiler.Combined
+module Dfa = Alveare_arch.Dfa_overlay
 module D = Alveare_test_support.Differential
 module Gen = Alveare_test_support.Gen_ast
 
@@ -20,9 +21,8 @@ let check ?cores specs input =
 (* Every class the fused engine distinguishes, in one ruleset:
    AC-covered literals (overlapping: one a prefix of the other, plus an
    exact duplicate sharing a compile-cache entry and hence an overlay
-   family), first-set dispatch rules (one fully backtracking-free —
-   product-thread eligible — one not), an anchored rule, and a nullable
-   rule (both residual). *)
+   family), first-set dispatch rules (one fully backtracking-free, one
+   not), an anchored rule, and a nullable rule (both residual). *)
 let mixed_specs =
   [ ("lit", "alert");
     ("lit-longer", "alerted");
@@ -61,6 +61,25 @@ let test_overlap_rewind () =
   check
     [ ("a", "aba"); ("b", "ababa"); ("c", "ba") ]
     "abababababa ba aba"
+
+(* A long run of letters: every byte is a first-set candidate of
+   [a-z]{2,5}x, so each candidate arrives while the previous one's
+   attempt window (up to six bytes) is still open. *)
+let letters =
+  String.concat "x "
+    (List.init 12 (fun k ->
+         String.init (20 + k) (fun i -> Char.chr (Char.code 'a' + (i mod 23)))))
+
+let test_long_letter_run () =
+  check mixed_specs letters;
+  let rs = Ruleset.compile_exn [ ("first-safe", "[a-z]{2,5}x") ] in
+  let before = Combined.counters () and hits = (Dfa.global_stats ()).Dfa.hits in
+  let _ = Ruleset.scan rs letters in
+  let after = Combined.counters () in
+  Alcotest.(check bool) "sweep attempts on an overlay session" true
+    (after.Combined.product_threads > before.Combined.product_threads);
+  Alcotest.(check bool) "overlay table hits" true
+    ((Dfa.global_stats ()).Dfa.hits > hits)
 
 let test_counters_monotone () =
   let before = Combined.counters () in
@@ -126,6 +145,7 @@ let () =
             test_single_class_rulesets;
           Alcotest.test_case "overlapping literals, rewinding candidates"
             `Quick test_overlap_rewind;
+          Alcotest.test_case "long letter run" `Quick test_long_letter_run;
           Alcotest.test_case "counters monotone" `Quick test_counters_monotone
         ] );
       ("qcheck", [ qtest qcheck_onepass ]);
