@@ -194,17 +194,18 @@ let write_json path entries =
 
 (* --- Plan ablation ------------------------------------------------------
 
-   The pre-decoded plan executor against the legacy instruction-at-a-
-   time interpreter on the same 16 KiB scan the micro benchmark uses:
-   wall time per scan for both paths, the speedup, minor-heap words
-   allocated per scan (the reusable scratch should make the plan path
-   allocation-free in the inner loop), and identity flags over the hit
-   list and the full stats record — which must never differ; the
-   compare gate fails the build if they do, or if the speedup falls
-   under its floor. *)
+   The pre-decoded plan executor against the instruction-at-a-time
+   interpreter it replaced (the test oracle Core_oracle; the "legacy"
+   keys keep their names) on the same 16 KiB scan the micro benchmark
+   uses: wall time per scan for both paths, the speedup, minor-heap
+   words allocated per scan (the plan path's are its one scratch and
+   the span list; its inner loop never allocates), and identity flags
+   over the hit list and the full stats record — which must never
+   differ; the compare gate fails the build if they do, or if the
+   speedup falls under its floor. *)
 
 module Core = Alveare_arch.Core
-module Plan = Alveare_arch.Plan
+module Core_oracle = Alveare_test_support.Core_oracle
 
 let plan_iters = 100
 
@@ -216,16 +217,13 @@ let plan_ablation () : (string * float) list =
   let input =
     String.init 16384 (fun _ -> Alveare_workloads.Streams.lowercase_text rng)
   in
-  let scratch = Plan.create_scratch () in
-  let run_plan () = Core.find_all ~plan ~scratch program input in
-  let run_legacy () = Core.find_all ~use_plan:false program input in
+  let run_plan () = Core.find_all ~plan program input in
+  let run_legacy () = Core_oracle.find_all program input in
   (* correctness flags from one instrumented scan per path *)
   let plan_stats = Core.fresh_stats () in
-  let plan_hits = Core.find_all ~stats:plan_stats ~plan ~scratch program input in
+  let plan_hits = Core.find_all ~stats:plan_stats ~plan program input in
   let legacy_stats = Core.fresh_stats () in
-  let legacy_hits =
-    Core.find_all ~stats:legacy_stats ~use_plan:false program input
-  in
+  let legacy_hits = Core_oracle.find_all ~stats:legacy_stats program input in
   let hits_identical = plan_hits = legacy_hits in
   let stats_identical = plan_stats = legacy_stats in
   let time f =
@@ -298,16 +296,13 @@ let dfa_ablation () : (string * float) list =
   let input =
     String.init 65536 (fun _ -> Alveare_workloads.Rng.char_of rng alphabet)
   in
-  let scratch = Alveare_arch.Plan.create_scratch () in
-  let run_dfa () = Core.find_all ~plan ~dfa:fam ~scratch program input in
-  let run_plan () = Core.find_all ~plan ~scratch program input in
+  let run_dfa () = Core.find_all ~plan ~dfa:fam program input in
+  let run_plan () = Core.find_all ~plan program input in
   (* correctness flags from one instrumented scan per path *)
   let dfa_stats = Core.fresh_stats () in
-  let dfa_hits =
-    Core.find_all ~stats:dfa_stats ~plan ~dfa:fam ~scratch program input
-  in
+  let dfa_hits = Core.find_all ~stats:dfa_stats ~plan ~dfa:fam program input in
   let plan_stats = Core.fresh_stats () in
-  let plan_hits = Core.find_all ~stats:plan_stats ~plan ~scratch program input in
+  let plan_hits = Core.find_all ~stats:plan_stats ~plan program input in
   let hits_identical = dfa_hits = plan_hits in
   let stats_identical = dfa_stats = plan_stats in
   (* Interleaved best-of-N: the speedup below is a hard compare gate,

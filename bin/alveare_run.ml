@@ -198,7 +198,7 @@ let run_derivative eng data ~quiet ~compare =
    one call — through the fused one-pass engine when single-core and
    prefiltered. *)
 let run_ruleset rules_path data ~cores ~quiet ~stats_flag ~no_prefilter
-    ~no_dfa ~extended =
+    ~extended =
   let specs =
     read_file rules_path
     |> String.split_on_char '\n'
@@ -221,8 +221,7 @@ let run_ruleset rules_path data ~cores ~quiet ~stats_flag ~no_prefilter
       1
     | Ok rs ->
       let report =
-        Ruleset.scan ~cores ~prefilter:(not no_prefilter) ~dfa:(not no_dfa)
-          rs data
+        Ruleset.scan ~cores ~prefilter:(not no_prefilter) rs data
       in
       if not quiet then
         List.iter
@@ -259,7 +258,7 @@ let run_ruleset rules_path data ~cores ~quiet ~stats_flag ~no_prefilter
       0
 
 let run pattern binary rules text file cores quiet stats_flag trace_path
-    compare lint no_verify no_prefilter no_opt no_dfa extended engine =
+    compare lint no_verify no_prefilter no_opt extended engine =
   let input =
     match text, file with
     | Some t, None -> Ok t
@@ -274,7 +273,7 @@ let run pattern binary rules text file cores quiet stats_flag trace_path
      | None, None, Ok data ->
        (try
           run_ruleset rules_path data ~cores ~quiet ~stats_flag ~no_prefilter
-            ~no_dfa ~extended
+            ~extended
         with Sys_error m ->
           Fmt.epr "alveare_run: %s@." m;
           1)
@@ -306,42 +305,38 @@ let run pattern binary rules text file cores quiet stats_flag trace_path
     let ast = Option.map (fun c -> c.Compile.ast) compiled in
     let prefilter = if no_prefilter then None else prefilter in
     (* Compiled patterns carry their plan and overlay family; a loaded
-       binary builds both here (same safe-fragment analysis the
-       compiler runs, applied to the loaded program). *)
+       binary builds both here: [Plan.of_program] validates it, and the
+       family comes from the same safe-fragment analysis the compiler
+       runs, applied to the loaded program. *)
     let plan, dfa =
       match compiled with
-      | Some c ->
-        (Some c.Compile.plan, if no_dfa then None else c.Compile.dfa)
+      | Some c -> (c.Compile.plan, c.Compile.dfa)
       | None ->
         let plan = Alveare_arch.Plan.of_program program in
-        let dfa =
-          if no_dfa then None
-          else
-            Alveare_arch.Dfa_overlay.family
-              ~fragments:
-                (Alveare_analysis.Ambiguity.program_fragments program)
-              plan
-        in
-        (Some plan, dfa)
+        ( plan,
+          Alveare_arch.Dfa_overlay.family
+            ~fragments:(Alveare_analysis.Ambiguity.program_fragments program)
+            plan )
     in
     let overlap =
       match ast with
       | Some ast -> Multicore.overlap_for_ast ast
       | None -> Multicore.default_overlap
     in
-    (* Tracing runs a dedicated single-core pass (per-core waveforms of a
-       multi-core run would interleave meaninglessly). *)
+    (* Tracing runs a dedicated dense single-core pass on the plan path
+       (per-core waveforms of a multi-core run would interleave
+       meaninglessly, and the overlay table records no cycles). *)
     (match trace_path with
      | None -> ()
      | Some path ->
        let trace = Alveare_arch.Trace.create () in
-       ignore (Core.find_all ~trace program data);
+       ignore (Core.find_all ~trace ~plan program data);
        Alveare_arch.Vcd.write_file path trace;
        Fmt.pr "wrote VCD trace (%d events%s) to %s@."
          (Alveare_arch.Trace.length trace)
          (if Alveare_arch.Trace.truncated trace then ", truncated" else "")
          path);
-    let outcome = Fpga.run ~cores ~overlap ?prefilter ?plan ?dfa program data in
+    let outcome = Fpga.run ~cores ~overlap ?prefilter ~plan ?dfa program data in
     let result = outcome.Fpga.result in
     if not quiet then
       List.iter
@@ -415,7 +410,10 @@ let stats_flag =
 let trace_arg =
   Arg.(value & opt (some string) None
        & info [ "trace" ] ~docv:"FILE.vcd"
-           ~doc:"Dump a single-core cycle trace as a VCD waveform.")
+           ~doc:"Dump a single-core cycle trace as a VCD waveform: one \
+                 event per modelled cycle of a dense scan on the plan \
+                 executor (no prefilter, no lazy-DFA overlay), recorded \
+                 alongside the normal run.")
 
 let compare_flag =
   Arg.(value & flag
@@ -448,14 +446,6 @@ let no_opt_flag =
                  lowered as written. Matches are identical either way — \
                  useful for ablation against the optimised program.")
 
-let no_dfa_flag =
-  Arg.(value & flag
-       & info [ "no-dfa" ]
-           ~doc:"Disable the lazy-DFA overlay (table-per-byte execution of \
-                 backtracking-free fragments). Matches, cycles and stats \
-                 are bit-identical either way; only host simulation speed \
-                 changes.")
-
 let extended_flag =
   Arg.(value & flag
        & info [ "extended" ]
@@ -476,11 +466,18 @@ let engine_arg =
 let cmd =
   Cmd.v
     (Cmd.info "alveare_run" ~version:"1.0"
-       ~doc:"Match a pattern over data on the simulated ALVEARE DSA.")
+       ~doc:"Match a pattern over data on the simulated ALVEARE DSA."
+       ~man:
+         [ `S Manpage.s_description;
+           `P "Scans run on the pre-decoded plan executor. Attempts that \
+               stay inside a pattern's backtracking-free fragments run on \
+               the lazy-DFA overlay (one table lookup per byte) whenever \
+               it can engage; matches, cycles and statistics are those of \
+               the plan executor either way." ])
     Term.(
       const run $ pattern_arg $ binary_arg $ rules_arg $ text_arg $ file_arg
       $ cores_arg $ quiet_flag $ stats_flag $ trace_arg $ compare_flag
       $ lint_flag $ no_verify_flag $ no_prefilter_flag $ no_opt_flag
-      $ no_dfa_flag $ extended_flag $ engine_arg)
+      $ extended_flag $ engine_arg)
 
 let () = exit (Cmd.eval' cmd)

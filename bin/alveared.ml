@@ -42,8 +42,7 @@ let summarize metrics =
   end
 
 let main socket tcp queue workers scan_workers cores cache_capacity
-    idle_timeout no_lint_gate max_poly_degree max_input no_dfa extended
-    quiet =
+    idle_timeout no_lint_gate max_poly_degree max_input extended quiet =
   let addr =
     match (socket, tcp) with
     | _, Some port -> Server.Tcp ("", port)
@@ -57,7 +56,6 @@ let main socket tcp queue workers scan_workers cores cache_capacity
       lint_gate = not no_lint_gate;
       max_polynomial_degree = max_poly_degree;
       max_input;
-      dfa = not no_dfa;
       extended }
   in
   let cfg =
@@ -160,14 +158,6 @@ let max_input_arg =
        & info [ "max-input" ] ~docv:"BYTES"
            ~doc:"Reject scan inputs larger than this with too-large.")
 
-let no_dfa_arg =
-  Arg.(value & flag
-       & info [ "no-dfa" ]
-           ~doc:"Disable the lazy-DFA overlay (table-per-byte execution of \
-                 backtracking-free fragments). Responses are bit-identical \
-                 either way; this only trades host throughput, e.g. to \
-                 isolate the plan executor when profiling.")
-
 let extended_arg =
   Arg.(value & flag
        & info [ "extended" ]
@@ -193,12 +183,14 @@ let cmd =
                lib/server/protocol.mli and the README wire-format table); \
                compiles go through the shared LRU, submitted patterns pass \
                the ReDoS lint gate, scans run on the cycle-level DSA \
-               simulator. Overload sheds with an explicit error code; \
-               SIGINT/SIGTERM drain in-flight requests before exiting." ])
+               simulator (on the lazy-DFA overlay wherever a pattern's \
+               backtracking-free fragments allow it; responses are those \
+               of the plan executor either way). Overload sheds with an \
+               explicit error code; SIGINT/SIGTERM drain in-flight \
+               requests before exiting." ])
     Term.(
       const main $ socket_arg $ tcp_arg $ queue_arg $ workers_arg
       $ scan_workers_arg $ cores_arg $ cache_arg $ idle_arg $ no_lint_gate_arg
-      $ max_poly_degree_arg $ max_input_arg $ no_dfa_arg $ extended_arg
-      $ quiet_arg)
+      $ max_poly_degree_arg $ max_input_arg $ extended_arg $ quiet_arg)
 
 let () = exit (Cmd.eval' cmd)

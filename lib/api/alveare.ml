@@ -100,13 +100,12 @@ let cached ?extended pattern = Compile.cached ?extended pattern
 let string_error r = Result.map_error Compile.error_message r
 
 (* The helpers run with the compiled pattern's prefilter and lazy-DFA
-   overlay unless the caller turns them off; matches are identical
-   either way. Patterns the mid-end could not rewrite to the ISA
+   overlay family. Patterns the mid-end could not rewrite to the ISA
    ([backend = Derivative]) are served by the derivative engine — its
    spans agree with the ISA span-for-span on everything both can run,
    so the dispatch is invisible in the results. *)
-let find_all ?(cores = 1) ?workers ?(prefilter = true) ?(dfa = true)
-    ?extended pattern input : (span list, string) result =
+let find_all ?(cores = 1) ?workers ?extended pattern input
+  : (span list, string) result =
   string_error
     (Result.map
        (fun (c : compiled) ->
@@ -114,18 +113,15 @@ let find_all ?(cores = 1) ?workers ?(prefilter = true) ?(dfa = true)
           | Compile.Derivative eng ->
             Alveare_derivative.Engine.find_all eng input
           | Compile.Isa | Compile.Isa_lowered ->
-            let pf = if prefilter then Some c.Compile.prefilter else None in
-            let fam = if dfa then c.Compile.dfa else None in
             if cores = 1 then
-              Core.find_all ?prefilter:pf ~plan:c.Compile.plan ?dfa:fam
-                c.Compile.program input
+              Core.find_all ~prefilter:c.Compile.prefilter ~plan:c.Compile.plan
+                ?dfa:c.Compile.dfa c.Compile.program input
             else
-              Multicore.find_all ~cores ?workers ?prefilter:pf
-                ~plan:c.Compile.plan ?dfa:fam c.Compile.program input)
+              Multicore.find_all ~cores ?workers ~prefilter:c.Compile.prefilter
+                ~plan:c.Compile.plan ?dfa:c.Compile.dfa c.Compile.program input)
        (cached ?extended pattern))
 
-let search ?(prefilter = true) ?(dfa = true) ?extended pattern input
-  : (span option, string) result =
+let search ?extended pattern input : (span option, string) result =
   string_error
     (Result.map
        (fun (c : compiled) ->
@@ -133,14 +129,12 @@ let search ?(prefilter = true) ?(dfa = true) ?extended pattern input
           | Compile.Derivative eng ->
             Alveare_derivative.Engine.search eng input
           | Compile.Isa | Compile.Isa_lowered ->
-            let pf = if prefilter then Some c.Compile.prefilter else None in
-            let fam = if dfa then c.Compile.dfa else None in
-            Core.search ?prefilter:pf ~plan:c.Compile.plan ?dfa:fam
-              c.Compile.program input)
+            Core.search ~prefilter:c.Compile.prefilter ~plan:c.Compile.plan
+              ?dfa:c.Compile.dfa c.Compile.program input)
        (cached ?extended pattern))
 
-let matches ?prefilter ?dfa ?extended pattern input : (bool, string) result =
-  Result.map Option.is_some (search ?prefilter ?dfa ?extended pattern input)
+let matches ?extended pattern input : (bool, string) result =
+  Result.map Option.is_some (search ?extended pattern input)
 
 let disassemble pattern : (string, string) result =
   string_error (Result.map Compile.disassemble (cached pattern))

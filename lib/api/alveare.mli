@@ -2,8 +2,10 @@
 
     One module tying the framework together: compile POSIX-ERE/PCRE
     patterns to 43-bit ISA binaries and run them on the cycle-level
-    simulator of the paper's speculative microarchitecture. The
-    sub-libraries are re-exported for fine-grained use. *)
+    simulator of the paper's speculative microarchitecture. The matching
+    helpers return spans only, and always scan with the compiled
+    pattern's prefilter and lazy-DFA overlay, which never change a
+    span. The sub-libraries are re-exported for fine-grained use. *)
 
 (** {1 Re-exported sub-libraries} *)
 
@@ -111,16 +113,14 @@ val compile : ?extended:bool -> string -> (compiled, Compile.error) result
 val compile_exn : ?extended:bool -> string -> compiled
 
 val find_all :
-  ?cores:int -> ?workers:int -> ?prefilter:bool -> ?dfa:bool ->
-  ?extended:bool -> string -> string -> (span list, string) result
+  ?cores:int -> ?workers:int -> ?extended:bool -> string -> string ->
+  (span list, string) result
 (** [find_all pattern input] — all non-overlapping matches on the
     simulated DSA ([cores] > 1 uses the multi-core scale-out; [workers]
-    parallelises the simulated cores on host domains). [prefilter]
-    (default [true]) skips start offsets the compiled pattern's first
-    byte-set rules out; [dfa] (default [true]) executes
-    backtracking-free fragments on the lazy-DFA overlay
-    ({!Alveare_arch.Dfa_overlay}). Matches and stats are identical with
-    either toggle off.
+    parallelises the simulated cores on host domains). The scan skips
+    start offsets the compiled pattern's first byte-set rules out and
+    executes backtracking-free fragments on the lazy-DFA overlay
+    ({!Alveare_arch.Dfa_overlay}); neither changes the spans.
 
     [extended] (default [false]) parses the extended dialect
     (intersection [&], complement [(?~r)], lookarounds); patterns the
@@ -129,13 +129,10 @@ val find_all :
     rejected as unsupported. *)
 
 val search :
-  ?prefilter:bool -> ?dfa:bool -> ?extended:bool -> string -> string ->
-  (span option, string) result
+  ?extended:bool -> string -> string -> (span option, string) result
 (** Leftmost match. *)
 
-val matches :
-  ?prefilter:bool -> ?dfa:bool -> ?extended:bool -> string -> string ->
-  (bool, string) result
+val matches : ?extended:bool -> string -> string -> (bool, string) result
 
 val disassemble : string -> (string, string) result
 

@@ -4,30 +4,24 @@
     stack. Matching semantics are PCRE backtracking order (differentially
     tested against {!Alveare_engine.Backtrack}).
 
-    Two executors implement the model. The default path lowers the
-    program once into a pre-decoded {!Plan.t} — bitmap character
-    classes, absolute jump targets, reusable speculation scratch — and
-    scans with a memchr-style skip loop; validation happens at plan
-    build, not per call. Every plan-path scan drives a {!Scan_cursor},
-    the one copy of the scan-loop body, which the fused ruleset sweep
-    drives too. The legacy instruction-at-a-time interpreter
-    remains behind [?trace] (waveforms need its per-cycle events) and
-    [~use_plan:false] (the differential oracle). Both return identical
-    spans and bit-identical {!stats}; the [@plancheck] battery pins
-    this.
+    One executor implements the model: the program is lowered once into
+    a pre-decoded {!Plan.t} — bitmap character classes, absolute jump
+    targets, reusable speculation scratch — and every scan drives a
+    {!Scan_cursor}, the one copy of the scan-loop body, which the fused
+    ruleset sweep drives too; the dense scan skips with a memchr-style
+    loop. Validation happens at plan build, not per call. The
+    instruction-at-a-time interpreter the plan replaced is the test
+    oracle [test/support/core_oracle.ml]; the [@plancheck] battery holds
+    spans, every {!stats} counter and the {!Trace} equal to it.
 
     Every entry point accepts an optional pre-built [?plan] (skip
-    re-lowering; {!Alveare_compiler} compilations carry one) and
-    [?scratch] (reuse one executor state across calls; never share a
-    scratch between concurrent domains).
-
-    Plan-path entry points also accept a [?dfa] overlay family
-    ({!Dfa_overlay}): attempts whose execution stays inside the
-    pattern's backtracking-free fragments then run at one table lookup
-    per byte, with bit-identical spans and stats. The family must have
-    been built from the same [?plan] value (physical equality) —
-    otherwise it is silently ignored — and is also ignored on the
-    trace/legacy paths and for finite [stack_capacity] configs.
+    re-lowering; {!Alveare_compiler} compilations carry one) and a
+    [?dfa] overlay family ({!Dfa_overlay}): attempts whose execution
+    stays inside the pattern's backtracking-free fragments then run at
+    one table lookup per byte, with bit-identical spans and stats. The
+    family must have been built from the same [?plan] value (physical
+    equality) — otherwise it is silently ignored — and is also ignored
+    on traced scans and for finite [stack_capacity] configs.
     {!Alveare_compiler} compilations carry a matching family. *)
 
 type config = Machine.config = {
@@ -63,21 +57,17 @@ type error = Machine.error =
 val error_message : error -> string
 
 exception Exec_error of error
-(** Same exception as {!Machine.Exec_error}; both executors raise it. *)
+(** Same exception as {!Machine.Exec_error}. *)
 
 val match_at :
-  ?config:config -> ?stats:stats -> ?trace:Trace.t ->
-  ?plan:Plan.t -> ?dfa:Dfa_overlay.family -> ?use_plan:bool ->
-  ?scratch:Plan.scratch ->
+  ?config:config -> ?stats:stats -> ?plan:Plan.t -> ?dfa:Dfa_overlay.family ->
   Alveare_isa.Program.t -> string -> int -> int option
 (** Anchored attempt at an offset; returns the match end. *)
 
 val search :
-  ?config:config -> ?stats:stats -> ?trace:Trace.t ->
+  ?config:config -> ?stats:stats ->
   ?prefilter:Alveare_prefilter.Prefilter.t ->
-  ?plan:Plan.t -> ?dfa:Dfa_overlay.family -> ?use_plan:bool ->
-  ?scratch:Plan.scratch ->
-  ?from:int ->
+  ?plan:Plan.t -> ?dfa:Dfa_overlay.family -> ?from:int ->
   Alveare_isa.Program.t -> string -> Alveare_engine.Semantics.span option
 (** Leftmost match at or after [from]. When [prefilter] is passed and
     usable ({!Alveare_prefilter.Prefilter.first_usable}), offsets whose
@@ -87,18 +77,16 @@ val search :
 val find_all :
   ?config:config -> ?stats:stats -> ?trace:Trace.t ->
   ?prefilter:Alveare_prefilter.Prefilter.t ->
-  ?plan:Plan.t -> ?dfa:Dfa_overlay.family -> ?use_plan:bool ->
-  ?scratch:Plan.scratch ->
+  ?plan:Plan.t -> ?dfa:Dfa_overlay.family ->
   Alveare_isa.Program.t -> string -> Alveare_engine.Semantics.span list
 (** All non-overlapping matches, left to right. [trace] records one
-    {!Trace.event} per cycle for waveform inspection ({!Vcd}).
-    [prefilter] as in {!search}. *)
+    {!Trace.event} per cycle for waveform inspection ({!Vcd}); a traced
+    scan runs on {!Plan.run}, never on the overlay. [prefilter] as in
+    {!search}. *)
 
 val find_all_candidates :
-  ?config:config -> ?stats:stats -> ?trace:Trace.t ->
-  candidates:int array ->
-  ?plan:Plan.t -> ?dfa:Dfa_overlay.family -> ?use_plan:bool ->
-  ?scratch:Plan.scratch ->
+  ?config:config -> ?stats:stats -> candidates:int array ->
+  ?plan:Plan.t -> ?dfa:Dfa_overlay.family ->
   Alveare_isa.Program.t -> string -> Alveare_engine.Semantics.span list
 (** Like {!find_all} but attempts only at the given sorted start
     offsets (e.g. from the ruleset Aho-Corasick pass); all other
@@ -106,10 +94,3 @@ val find_all_candidates :
     advances monotonically with the scan (amortised O(1) per offset).
     Equal to {!find_all} whenever [candidates] contains every true
     match start. *)
-
-val matches :
-  ?config:config -> ?stats:stats ->
-  ?prefilter:Alveare_prefilter.Prefilter.t ->
-  ?plan:Plan.t -> ?dfa:Dfa_overlay.family -> ?use_plan:bool ->
-  ?scratch:Plan.scratch ->
-  Alveare_isa.Program.t -> string -> bool

@@ -1,8 +1,7 @@
-(* Types shared by the two execution engines of the cycle-level core
-   model: the legacy instruction-at-a-time interpreter (Core) and the
-   pre-decoded plan executor (Plan). Both charge the same cycle/stat
-   accounting against the same record, so they are interchangeable in
-   every ablation table. *)
+(* Types of the cycle-level core model, below both Plan (which charges
+   and raises them) and Core (which re-exports them): every executor
+   path — plan, lazy-DFA overlay, fused sweep — charges the same
+   cycle/stat accounting against the same record. *)
 
 type config = {
   compute_units : int;        (* CUs in the vector unit (paper: 4) *)

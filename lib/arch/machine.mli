@@ -1,7 +1,8 @@
-(** Execution-model types shared by the legacy interpreter ({!Core}) and
-    the pre-decoded plan executor ({!Plan}). {!Core} re-exports all of
-    them with type equations, so existing [Core.stats]/[Core.config]
-    users are unaffected. *)
+(** Execution-model types of the cycle-level core: the configuration,
+    the ten stats counters and the execution errors that the plan
+    executor ({!Plan}) charges and raises. {!Core} re-exports all of
+    them with type equations, so [Core.stats]/[Core.config] users need
+    not name this module. *)
 
 type config = {
   compute_units : int;          (** CUs in the vector unit (paper: 4) *)

@@ -1,11 +1,9 @@
-(* Pre-decoded execution plans for the core simulator.
+(* Pre-decoded execution plans: the core simulator's one executor.
 
    The hardware makes decode free (triple-prefetch instruction memory,
-   paper §6/Fig. 3) but the host model used to pay for it on every step:
-   [Core.attempt] re-dispatched on raw [Instruction.t] records, Or/Range
-   references were scanned byte-by-byte per input char, and every
-   speculation push allocated a list cell. A plan is the one-time
-   lowering of a verified instruction array into a host-friendly form:
+   paper §6/Fig. 3), so the host model decodes once too. A plan is the
+   one-time lowering of a verified instruction array into a host-friendly
+   form:
 
    - one variant per instruction with the dispatch decision (EoR / base /
      open-quantifier / open-alternation / standalone close) taken at
@@ -18,20 +16,21 @@
      literal with its first byte) driving the memchr-style skip loop in
      [Core]'s dense scan.
 
-   Execution reuses a [scratch]: the speculation stack lives in three
-   preallocated, growable int arrays (pc / cursor / context), and the
-   controller contexts themselves in a bump-allocated arena of parallel
-   arrays — frames are immutable once written and share parents exactly
-   like the persistent list they replace, so snapshots stay O(1) without
-   allocating in the hot loop. Both are reset (two stores) per attempt.
+   Execution reuses a [scratch]: the speculation stack lives in
+   preallocated, growable int arrays (pc / cursor / context / arena
+   mark), and the controller contexts themselves in a bump-allocated
+   arena of parallel arrays — frames are immutable once written and
+   share parents exactly like a persistent list, so snapshots stay O(1)
+   without allocating in the hot loop. Popping a snapshot rewinds the
+   arena to its mark, so the arena grows with the live depth, not with
+   an attempt's total work.
 
-   Accounting is bit-identical to the legacy interpreter by construction:
-   one plan op corresponds to one source instruction, counters are
-   incremented at the same execution points (instruction fetch, push,
-   rollback), and the structural malformation checks raise the same
-   [Machine.Exec_error] payloads. The differential battery
-   (test/test_plan.ml, @plancheck) pins every stats field to the legacy
-   interpreter's. *)
+   One plan op corresponds to one source instruction, and counters are
+   incremented at the hardware's execution points (instruction fetch,
+   push, rollback), so cycle accounting, traces and the structural
+   malformation errors are those of the instruction-at-a-time
+   interpreter kept as the test oracle (test/support/core_oracle.ml);
+   the @plancheck battery holds the two equal. *)
 
 module I = Alveare_isa.Instruction
 
@@ -53,7 +52,7 @@ type op =
   | Eor
   | Lit of { chars : string; close : int }
       (* AND: [chars] against consecutive input bytes (NOT is ignored by
-         the datapath, as in the interpreter); [close] = cl_* fused code *)
+         the datapath); [close] = cl_* fused code *)
   | Set of { bits : Bytes.t; close : int }
       (* OR/RANGE lowered to a 32-byte bitmap, negation folded in *)
   | Open_quant of { qmin : int; qmax : int; greedy : bool; fwd : int }
@@ -61,11 +60,10 @@ type op =
   | Close_op of int
   | Bad of string
       (* unclassifiable instruction (only reachable through
-         [of_program_unchecked]); raises the interpreter's Malformed *)
+         [of_program_unchecked]); raises Machine's Malformed *)
 
 (* Leading-filter table for the scan skip loop: the first instruction's
-   sub-match test, when it is a base operator (same applicability rule
-   as the interpreter's [leading_filter]). *)
+   sub-match test, when it is a base operator. *)
 type leading =
   | Lead_none
   | Lead_literal of string
@@ -74,7 +72,7 @@ type leading =
 type t = {
   ops : op array;
   leading : leading;
-  program : Alveare_isa.Program.t;  (* source, for trace/legacy fallback *)
+  program : Alveare_isa.Program.t;  (* source, for trace events *)
 }
 
 (* --- Bitset lowering ---------------------------------------------------- *)
@@ -102,7 +100,7 @@ let bitset_of_or ~neg chars =
 
 let bitset_of_range ~neg chars =
   let bits = Bytes.make 32 '\000' in
-  (* floor(len/2) [lo,hi] pairs, as in the interpreter's eval_base; an
+  (* floor(len/2) [lo,hi] pairs, as the vector unit reads them; an
      inverted pair (lo > hi) contributes the empty set. *)
   for j = 0 to (String.length chars / 2) - 1 do
     for c = Char.code chars.[2 * j] to Char.code chars.[(2 * j) + 1] do
@@ -114,8 +112,8 @@ let bitset_of_range ~neg chars =
 
 (* --- Lowering ----------------------------------------------------------- *)
 
-(* Classification order mirrors the interpreter's dispatch exactly:
-   EoR, then OPEN, then base, then standalone close. *)
+(* Classification order is the controller's dispatch order: EoR, then
+   OPEN, then base, then standalone close. *)
 let lower_instruction pc (i : I.t) : op =
   if I.is_eor i then Eor
   else if i.I.opn then begin
@@ -168,7 +166,6 @@ let of_program program =
   Alveare_isa.Program.validate_exn program;
   of_program_unchecked program
 
-let program t = t.program
 let leading t = t.leading
 let ops t = t.ops
 
@@ -191,9 +188,11 @@ let literal_matches input off lit =
 
 (* Controller-context arena: frames form a parent-linked spaghetti stack
    (index -1 = empty context). A frame is written once at allocation and
-   never mutated, so snapshots can reference it by index with the same
-   sharing the interpreter gets from its persistent list. [cn] is the
-   bump pointer, reset per attempt. *)
+   never mutated, so snapshots can reference it by index with the
+   sharing of a persistent list. [cn] is the bump pointer, reset per
+   attempt and rewound on rollback: a frame's parent is always older,
+   and every snapshot still on the stack was pushed before the popped
+   one, so no live reference points at or above the popped mark. *)
 let k_alt = 0
 let k_quant_greedy = 1
 let k_quant_lazy = 2
@@ -204,6 +203,7 @@ type scratch = {
   mutable st_pc : int array;
   mutable st_cursor : int array;
   mutable st_ctx : int array;
+  mutable st_cn : int array;  (* arena bump pointer at push *)
   (* context arena *)
   mutable cn : int;
   mutable cx_kind : int array;
@@ -223,6 +223,7 @@ let create_scratch () =
     st_pc = Array.make initial_capacity 0;
     st_cursor = Array.make initial_capacity 0;
     st_ctx = Array.make initial_capacity 0;
+    st_cn = Array.make initial_capacity 0;
     cn = 0;
     cx_kind = Array.make initial_capacity 0;
     cx_parent = Array.make initial_capacity 0;
@@ -239,7 +240,8 @@ let ensure_stack s =
   if s.sp >= Array.length s.st_pc then begin
     s.st_pc <- grow s.st_pc;
     s.st_cursor <- grow s.st_cursor;
-    s.st_ctx <- grow s.st_ctx
+    s.st_ctx <- grow s.st_ctx;
+    s.st_cn <- grow s.st_cn
   end
 
 let ensure_arena s =
@@ -279,16 +281,39 @@ let new_alt_frame s ~parent ~fwd =
 
 (* --- Executor ----------------------------------------------------------- *)
 
-(* One full matching attempt anchored at [start]. Semantics, stats and
-   raised errors are those of the interpreter's [Core.attempt], minus
-   tracing (traced runs stay on the interpreter). *)
-let run ?(config = Machine.default_config) ~(stats : Machine.stats) (t : t)
-    (s : scratch) (input : string) (start : int) : int option =
+(* Trace events are recorded after their cycle is charged: [cycle] is
+   [stats.cycles] then, and [stack_depth] the live depth. The helpers
+   live outside [run] so that an untraced attempt allocates nothing for
+   them. *)
+let record trace (stats : Machine.stats) s pc cursor kind =
+  Option.iter
+    (fun tr ->
+       Trace.record tr
+         { Trace.cycle = stats.Machine.cycles; pc; cursor;
+           stack_depth = s.sp; kind })
+    trace
+
+(* Op and NOT come from the source instruction: lowering folded NOT
+   into the bitset. *)
+let record_base trace stats s t pc cursor ~hit ~consumed =
+  let i = t.program.(pc) in
+  record trace stats s pc cursor
+    (Trace.Exec_base
+       { op = Option.get i.I.base; neg = i.I.neg; matched = hit;
+         consumed = (if hit then consumed else 0) })
+
+(* One full matching attempt anchored at [start]: the controller FSM
+   (paper Fig. 3 (D)). With [trace], every event of the attempt, each
+   behind the one [tracing] test. *)
+let run ?(config = Machine.default_config) ?trace ~(stats : Machine.stats)
+    (t : t) (s : scratch) (input : string) (start : int) : int option =
   stats.Machine.attempts <- stats.Machine.attempts + 1;
   s.sp <- 0;
   s.cn <- 0;
   let ops = t.ops in
   let n = String.length input in
+  let tracing = Option.is_some trace in
+  if tracing then record trace stats s 0 start Trace.Attempt_start;
   let malformed pc reason =
     raise (Machine.Exec_error (Machine.Malformed { pc; reason }))
   in
@@ -302,6 +327,7 @@ let run ?(config = Machine.default_config) ~(stats : Machine.stats) (t : t)
     s.st_pc.(sp) <- pc;
     s.st_cursor.(sp) <- cursor;
     s.st_ctx.(sp) <- ctx;
+    s.st_cn.(sp) <- s.cn;
     s.sp <- sp + 1;
     stats.Machine.stack_pushes <- stats.Machine.stack_pushes + 1;
     if s.sp > stats.Machine.max_stack_depth then
@@ -312,17 +338,20 @@ let run ?(config = Machine.default_config) ~(stats : Machine.stats) (t : t)
     stats.Machine.instructions <- stats.Machine.instructions + 1;
     stats.Machine.cycles <- stats.Machine.cycles + 1;
     match ops.(pc) with
-    | Eor -> cursor
+    | Eor ->
+      if tracing then record trace stats s pc cursor Trace.Exec_eor;
+      cursor
     | Lit { chars; close } ->
       let k = String.length chars in
-      if cursor + k <= n && literal_matches input cursor chars then
-        matched pc (cursor + k) ctx close
-      else rollback ()
+      let hit = cursor + k <= n && literal_matches input cursor chars in
+      if tracing then record_base trace stats s t pc cursor ~hit ~consumed:k;
+      if hit then matched pc (cursor + k) ctx close else rollback ()
     | Set { bits; close } ->
-      if cursor < n && set_mem bits (String.unsafe_get input cursor) then
-        matched pc (cursor + 1) ctx close
-      else rollback ()
+      let hit = cursor < n && set_mem bits (String.unsafe_get input cursor) in
+      if tracing then record_base trace stats s t pc cursor ~hit ~consumed:1;
+      if hit then matched pc (cursor + 1) ctx close else rollback ()
     | Open_quant { qmin; qmax; greedy; fwd } ->
+      if tracing then record trace stats s pc cursor Trace.Exec_open;
       if qmin > 0 then
         exec (pc + 1) cursor
           (new_quant_frame s ~parent:ctx ~body:(pc + 1) ~fwd ~qmin ~qmax
@@ -341,9 +370,14 @@ let run ?(config = Machine.default_config) ~(stats : Machine.stats) (t : t)
         exec fwd cursor ctx
       end
     | Open_alt { bwd; fwd } ->
+      if tracing then record trace stats s pc cursor Trace.Exec_open;
       if bwd >= 0 then push bwd cursor ctx;
       exec (pc + 1) cursor (new_alt_frame s ~parent:ctx ~fwd)
-    | Close_op c -> do_close pc cursor ctx c
+    | Close_op c ->
+      if tracing then
+        record trace stats s pc cursor
+          (Trace.Exec_close (Option.get t.program.(pc).I.close));
+      do_close pc cursor ctx c
     | Bad reason -> malformed pc reason
   (* A base sub-match succeeded; apply the fused close if present. *)
   and matched pc cursor ctx close_c =
@@ -403,9 +437,12 @@ let run ?(config = Machine.default_config) ~(stats : Machine.stats) (t : t)
     else begin
       let sp = s.sp - 1 in
       s.sp <- sp;
+      s.cn <- s.st_cn.(sp);
       stats.Machine.rollbacks <- stats.Machine.rollbacks + 1;
       stats.Machine.cycles <- stats.Machine.cycles + 1;
-      exec s.st_pc.(sp) s.st_cursor.(sp) s.st_ctx.(sp)
+      let pc = s.st_pc.(sp) and cursor = s.st_cursor.(sp) in
+      if tracing then record trace stats s pc cursor Trace.Rollback;
+      exec pc cursor s.st_ctx.(sp)
     end
   in
   let stop = exec 0 start (-1) in

@@ -1,15 +1,18 @@
-(** Pre-decoded execution plans: a one-time lowering of a verified ISA
-    program into the form the host simulator executes — per-instruction
-    variants with the dispatch decision taken at build time, absolute
-    jump targets, 256-bit bitsets for Or/Range character classes
-    (negation folded in), pre-split fused base+close micro-ops, and a
-    leading-filter table that drives {!Core}'s memchr-style skip loop.
+(** Pre-decoded execution plans: the core simulator's one executor. A
+    plan is a one-time lowering of a verified ISA program —
+    per-instruction variants with the dispatch decision taken at build
+    time, absolute jump targets, 256-bit bitsets for Or/Range character
+    classes (negation folded in), pre-split fused base+close micro-ops,
+    and a leading-filter table that drives {!Core}'s memchr-style skip
+    loop.
 
     Execution reuses a {!scratch}: preallocated, growable int arrays for
     the speculation stack and a bump-allocated arena for controller
-    contexts, so the inner loop never allocates. Cycle and stat
-    accounting is bit-identical to the legacy interpreter (pinned by the
-    differential battery behind the [@plancheck] alias). *)
+    contexts, so the inner loop never allocates. {!run} optionally
+    records a per-cycle {!Trace}. Spans, stats and traces equal those of
+    the instruction-at-a-time interpreter kept as the test oracle
+    ([test/support/core_oracle.ml], pinned by the [@plancheck]
+    battery). *)
 
 type t
 
@@ -24,12 +27,8 @@ val of_program_unchecked : Alveare_isa.Program.t -> t
 (** Lowering without the validity check, for binaries already verified
     (the compiler's post-emission self-check, or a loader that ran
     {!Alveare_isa.Verify}). Unclassifiable instructions lower to a
-    poisoned op that raises the interpreter's
-    [Machine.Exec_error (Malformed _)] if ever executed. *)
-
-val program : t -> Alveare_isa.Program.t
-(** The source instruction array the plan was lowered from (used for
-    the traced-execution fallback, which stays on the interpreter). *)
+    poisoned op that raises [Machine.Exec_error (Malformed _)] if ever
+    executed. *)
 
 (** {1 Decoded ops}
 
@@ -57,8 +56,7 @@ val cl_quant_greedy : int
 val cl_quant_lazy : int
 
 (** Leading-filter table: the first instruction's sub-match test when it
-    is a base operator — the same applicability rule as the
-    interpreter's vector-unit prefilter. *)
+    is a base operator — the vector unit's start-offset prefilter. *)
 type leading =
   | Lead_none
   | Lead_literal of string   (** leading AND: full literal must match *)
@@ -81,9 +79,10 @@ type scratch
 val create_scratch : unit -> scratch
 
 val run :
-  ?config:Machine.config -> stats:Machine.stats ->
+  ?config:Machine.config -> ?trace:Trace.t -> stats:Machine.stats ->
   t -> scratch -> string -> int -> int option
 (** One full matching attempt anchored at the given offset; returns the
-    match end. Exactly the interpreter's [attempt]: same result, same
-    stats increments, same [Machine.Exec_error] on stack overflow or
-    malformed execution. *)
+    match end. Raises [Machine.Exec_error] on stack overflow or
+    malformed execution. With [trace], records one {!Trace.event} per
+    cycle: [Attempt_start], then one event per executed instruction
+    ([Exec_close] only for a standalone close) and per rollback. *)

@@ -21,6 +21,7 @@ type t = {
   input : string;
   leading : Plan.leading;
   all : bool;
+  trace : Trace.t option;
   mutable session : Dfa_overlay.t option;
   mutable offset : int;
   mutable rejected : int;  (* offsets pruned since the last attempt *)
@@ -29,19 +30,20 @@ type t = {
 
 (* The overlay is engaged only when the family was built from this very
    plan (physical equality guards against a mismatched plan/family
-   pair) and the instance is available ([acquire] refuses finite stack
+   pair), the scan is not traced (the table has no per-cycle events)
+   and the instance is available ([acquire] refuses finite stack
    capacities and contended instances). The lock is taken once per
    scan, not per attempt. *)
-let start ~dfa ~config ~stats ~all plan scratch input from =
+let start ?trace ~dfa ~config ~stats ~all plan scratch input from =
   let session =
     match dfa with
-    | Some fam when Dfa_overlay.plan_of fam == plan ->
+    | Some fam when Option.is_none trace && Dfa_overlay.plan_of fam == plan ->
       let d = Dfa_overlay.get fam in
       if Dfa_overlay.acquire d ~config then Some d else None
     | Some _ | None -> None
   in
   { config; stats; plan; scratch; input; leading = Plan.leading plan; all;
-    session; offset = from; rejected = 0; found = [] }
+    trace; session; offset = from; rejected = 0; found = [] }
 
 let session c = c.session
 
@@ -58,6 +60,12 @@ let flush_run c =
     let cycles = (c.rejected + cu - 1) / cu in
     c.stats.Machine.scan_cycles <- c.stats.Machine.scan_cycles + cycles;
     c.stats.Machine.cycles <- c.stats.Machine.cycles + cycles;
+    Option.iter
+      (fun tr ->
+         Trace.record tr
+           { Trace.cycle = c.stats.Machine.cycles; pc = 0; cursor = 0;
+             stack_depth = 0; kind = Trace.Scan_skip c.rejected })
+      c.trace;
     c.rejected <- 0
   end
 
@@ -90,7 +98,8 @@ let offer c cand =
         match c.session with
         | Some d ->
           Dfa_overlay.run_acquired d ~config ~stats c.scratch c.input cand
-        | None -> Plan.run ~config ~stats c.plan c.scratch c.input cand
+        | None ->
+          Plan.run ~config ?trace:c.trace ~stats c.plan c.scratch c.input cand
       in
       match r with
       | Some stop ->

@@ -15,21 +15,22 @@
     Attempts run on the lazy-DFA overlay ({!Dfa_overlay}) when the
     cursor holds a session on it, and on {!Plan.run} otherwise. The
     session is taken once at {!start} and held until {!finish} or
-    {!release}. *)
+    {!release}. A traced cursor records every charged rejected run as a
+    [Scan_skip] event and every attempt's per-cycle events. *)
 
 type t
 
 val start :
-  dfa:Dfa_overlay.family option -> config:Machine.config ->
+  ?trace:Trace.t -> dfa:Dfa_overlay.family option -> config:Machine.config ->
   stats:Machine.stats -> all:bool -> Plan.t -> Plan.scratch -> string ->
   int -> t
-(** [start ~dfa ~config ~stats ~all plan scratch input from] opens a
-    scan of [input] at offset [from]. With [all] the scan collects every
-    non-overlapping match; without it the scan ends at the first match.
-    The overlay is engaged only for a family built from this very
-    [plan] (physical equality) whose calling-domain instance is free
-    ({!Dfa_overlay.acquire}); otherwise attempts run on {!Plan.run},
-    with identical results. *)
+(** [start ?trace ~dfa ~config ~stats ~all plan scratch input from]
+    opens a scan of [input] at offset [from]. With [all] the scan
+    collects every non-overlapping match; without it the scan ends at
+    the first match. The overlay is engaged only for an untraced scan,
+    a family built from this very [plan] (physical equality) and a free
+    calling-domain instance ({!Dfa_overlay.acquire}); otherwise attempts
+    run on {!Plan.run}, with identical spans and stats. *)
 
 val offer : t -> int -> int
 (** [offer c cand] delivers the next candidate start and returns the

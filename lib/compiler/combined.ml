@@ -16,7 +16,7 @@
      a 256-entry shared dispatch table slot per first-set byte; the
      sweep offers each position whose byte is in the rule's first
      bitmap to the rule's {!Scan_cursor}, the same scan-loop body
-     [Core.scan_plan] drives — the candidate stream "byte at position i
+     [Core]'s scans drive — the candidate stream "byte at position i
      is in the first set" is precisely what the per-rule prefilter skip
      loop enumerates, so every counter charge lands identically.
 
@@ -133,10 +133,10 @@ type outcome =
 (* Every K_first rule drives one [Scan_cursor] over the whole input:
    the sweep offers it each position whose byte is in the rule's first
    set, in ascending order, which is exactly the candidate stream
-   [Core.scan_plan]'s prefilter source enumerates — so every counter
-   charge lands identically. Each candidate is attempted at once, on the
-   rule's overlay session when the cursor holds one. *)
-let scan (t : t) ?(dfa = true) (input : string) : outcome array =
+   [Core]'s prefilter source enumerates — so every counter charge lands
+   identically. Each candidate is attempted at once, on the rule's
+   overlay session when the cursor holds one. *)
+let scan (t : t) (input : string) : outcome array =
   let n = String.length input in
   let nr = Array.length t.rules in
   let cursors = Array.make nr None in
@@ -150,10 +150,8 @@ let scan (t : t) ?(dfa = true) (input : string) : outcome array =
        if t.klass.(i) = K_first then begin
          let stats = Core.fresh_stats () in
          let cur =
-           Scan_cursor.start
-             ~dfa:(if dfa then c.Compile.dfa else None)
-             ~config:Core.default_config ~stats ~all:true c.Compile.plan
-             (Plan.create_scratch ()) input 0
+           Scan_cursor.start ~dfa:c.Compile.dfa ~config:Core.default_config
+             ~stats ~all:true c.Compile.plan (Plan.create_scratch ()) input 0
          in
          let states =
            match Scan_cursor.session cur with

@@ -5,10 +5,11 @@
     rule's first-set dispatch run over the input ONCE. Each dispatched
     rule drives its own {!Alveare_arch.Scan_cursor} — the scan-loop
     body {!Alveare_arch.Core} uses — which attempts every first-set
-    candidate at once, on the rule's lazy-DFA overlay session when it
-    holds one. Spans and every per-rule stats counter are bit-identical
-    to a per-rule scan; the fused-sweep differential battery pins this
-    against the per-rule reference in the test support library.
+    candidate at once, on the rule's lazy-DFA overlay session whenever
+    the rule has a family and the session can be taken. Spans and every
+    per-rule stats counter are bit-identical to a per-rule scan; the
+    fused-sweep differential battery pins this against the per-rule
+    reference in the test support library.
 
     This module is the scan engine only: {!Ruleset} owns rule
     metadata, classification inputs (the AC index), the post-sweep
@@ -42,11 +43,12 @@ type outcome =
       (** untouched: anchored / nullable / no-first-set / derivative
           rules stay on the caller's per-rule path *)
 
-val scan : t -> ?dfa:bool -> string -> outcome array
-(** One streaming pass over the input. [dfa] (default true) gates the
-    overlay sessions — with it off, first-set rules attempt on
-    {!Alveare_arch.Plan.run}, results unchanged. Runs entirely on the
-    calling domain. *)
+val scan : t -> string -> outcome array
+(** One streaming pass over the input. A first-set rule attempts on its
+    overlay session when its compilation carries a family and the
+    calling domain's instance is free, and on {!Alveare_arch.Plan.run}
+    otherwise, with identical results. Runs entirely on the calling
+    domain. *)
 
 (** {1 Scan counters}
 

@@ -195,7 +195,7 @@ type report = {
    inside the region, so the global bucket contains its start — hits
    equal the unfiltered multi-core scan. Runs sequentially: the caller
    already fans rules out over the host pool. *)
-let scan_covered_multicore ~cores ~dfa (r : compiled_rule)
+let scan_covered_multicore ~cores (r : compiled_rule)
     (cands : int array) (input : string) =
   let n = String.length input in
   let slice = (n + cores - 1) / cores in
@@ -222,7 +222,7 @@ let scan_covered_multicore ~cores ~dfa (r : compiled_rule)
               |> Array.of_list
             in
             Core.find_all_candidates ~stats ~candidates:local
-              ~plan:r.compiled.Compile.plan ?dfa
+              ~plan:r.compiled.Compile.plan ?dfa:r.compiled.Compile.dfa
               r.compiled.Compile.program region
             |> List.filter_map (fun (s : Span.span) ->
                 let start = s.Span.start + slice_start in
@@ -264,13 +264,10 @@ let scan_covered_multicore ~cores ~dfa (r : compiled_rule)
    the AC pass across workers instead, and every other rule scans with
    its first-set skip loop. Hits are identical to the unfiltered scan
    either way. *)
-let scan ?(cores = 1) ?workers ?(prefilter = true) ?(dfa = true) (t : t)
-    (input : string) : report =
-  let dfa_of (r : compiled_rule) =
-    if dfa then r.compiled.Compile.dfa else None
-  in
+let scan ?(cores = 1) ?workers ?(prefilter = true) (t : t) (input : string)
+    : report =
   let outcome =
-    if prefilter && cores = 1 then Array.get (Combined.scan t.fused ~dfa input)
+    if prefilter && cores = 1 then Array.get (Combined.scan t.fused input)
     else
       match t.index with
       | Some idx when prefilter ->
@@ -291,7 +288,7 @@ let scan ?(cores = 1) ?workers ?(prefilter = true) ?(dfa = true) (t : t)
              let stats = Core.fresh_stats () in
              let matches =
                Core.find_all_candidates ~stats ~candidates:cands
-                 ~plan:r.compiled.Compile.plan ?dfa:(dfa_of r)
+                 ~plan:r.compiled.Compile.plan ?dfa:r.compiled.Compile.dfa
                  r.compiled.Compile.program input
              in
              ( r.rule, stats.Core.cycles, matches,
@@ -299,7 +296,7 @@ let scan ?(cores = 1) ?workers ?(prefilter = true) ?(dfa = true) (t : t)
                 stats.Core.offsets_pruned),
                true )
            end
-           else scan_covered_multicore ~cores ~dfa:(dfa_of r) r cands input
+           else scan_covered_multicore ~cores r cands input
          in
          let residual () =
            let config = Multicore.config ~cores ~overlap:r.overlap () in
@@ -308,7 +305,8 @@ let scan ?(cores = 1) ?workers ?(prefilter = true) ?(dfa = true) (t : t)
            in
            let result =
              Multicore.run ?prefilter:pf ~plan:r.compiled.Compile.plan
-               ?dfa:(dfa_of r) ~config r.compiled.Compile.program input
+               ?dfa:r.compiled.Compile.dfa ~config r.compiled.Compile.program
+               input
            in
            let sum f =
              Array.fold_left

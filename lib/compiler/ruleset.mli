@@ -1,6 +1,9 @@
 (** Rule-set management — the DPI deployment unit: compile many tagged
     rules once, scan streams through all of them on the simulated DSA,
-    and report per-rule hits and cycle costs. *)
+    and report per-rule hits and cycle costs. Every ISA rule scans with
+    its compilation's plan and, wherever it can engage, its lazy-DFA
+    overlay family; nothing switches the overlay off, since it never
+    changes a report. *)
 
 type rule = {
   id : int;
@@ -89,8 +92,7 @@ type report = {
 }
 
 val scan :
-  ?cores:int -> ?workers:int -> ?prefilter:bool -> ?dfa:bool -> t -> string ->
-  report
+  ?cores:int -> ?workers:int -> ?prefilter:bool -> t -> string -> report
 (** Rules run sequentially on the DSA (one compiled RE in instruction
     memory at a time); [cores] parallelises each rule over the stream on
     the simulated hardware. [workers] parallelises the host-side
@@ -109,10 +111,9 @@ val scan :
     scan; the fused-sweep differential battery pins this against the
     per-rule reference in the test support library.
 
-    [dfa] (default [true]): rules whose compilation carries a lazy-DFA
-    overlay family execute their backtracking-free fragments on the
-    transition table ({!Alveare_arch.Dfa_overlay}); hits, cycles and
-    every stat are bit-identical with it on or off — only host
-    simulation speed changes. *)
+    Rules whose compilation carries a lazy-DFA overlay family execute
+    their backtracking-free fragments on the transition table
+    ({!Alveare_arch.Dfa_overlay}) whenever it can engage; hits, cycles
+    and every stat are those of the plan path. *)
 
 val hits_for : report -> int -> hit list

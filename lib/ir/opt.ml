@@ -531,7 +531,7 @@ and rewrite_alt branches = rewrite_branches (List.map rewrite branches)
 let max_passes = 8
 
 (* The scanner vectorises a leading consuming instruction into a cheap
-   start-offset filter (core's [leading_filter]); a quant OPEN offers
+   start-offset filter (the plan's [leading] table); a quant OPEN offers
    none. [filter_led] says whether a pattern's first emitted
    instruction is such a consuming test. *)
 let filter_led ast =

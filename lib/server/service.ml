@@ -28,7 +28,6 @@ type config = {
   lint_gate : bool;
   max_polynomial_degree : int option;
   max_input : int;
-  dfa : bool;
   extended : bool;
 }
 
@@ -39,7 +38,6 @@ let default_config =
     lint_gate = true;
     max_polynomial_degree = None;
     max_input = 16 * 1024 * 1024;
-    dfa = true;
     extended = false }
 
 type t = {
@@ -212,7 +210,6 @@ let handle_scan t ~id ~pattern ~input ~allow_risky =
           gate t ~id ~allow_risky c (fun c ->
               let t0 = Unix.gettimeofday () in
               let stats = Core.fresh_stats () in
-              let fam = if t.config.dfa then c.Compile.dfa else None in
               let spans =
                 match c.Compile.backend with
                 | Compile.Derivative eng ->
@@ -226,7 +223,8 @@ let handle_scan t ~id ~pattern ~input ~allow_risky =
                 | Compile.Isa | Compile.Isa_lowered ->
                 if t.config.cores = 1 then
                   Core.find_all ~stats ~prefilter:c.Compile.prefilter
-                    ~plan:c.Compile.plan ?dfa:fam c.Compile.program input
+                    ~plan:c.Compile.plan ?dfa:c.Compile.dfa c.Compile.program
+                    input
                 else
                   (* multicore scale-out keeps its own per-core stats;
                      aggregate by summing into the fresh record *)
@@ -236,7 +234,7 @@ let handle_scan t ~id ~pattern ~input ~allow_risky =
                         (Alveare_multicore.Multicore.config
                            ~cores:t.config.cores ())
                       ~prefilter:c.Compile.prefilter ~plan:c.Compile.plan
-                      ?dfa:fam c.Compile.program input
+                      ?dfa:c.Compile.dfa c.Compile.program input
                   in
                   Array.iter
                     (fun (cs : Alveare_multicore.Multicore.core_result) ->
@@ -299,7 +297,7 @@ let handle_ruleset_scan t ~id ~rules ~input ~allow_risky =
           let t0 = Unix.gettimeofday () in
           let report =
             Ruleset.scan ~cores:t.config.cores ~workers:t.config.scan_workers
-              ~dfa:t.config.dfa rs input
+              rs input
           in
           let s : Protocol.scan_stats =
             { attempts = report.Ruleset.total_attempts;

@@ -5,9 +5,11 @@
     with proven-exploitable backtracking are refused with
     [Lint_rejected] unless the client sets [allow_risky]), and
     dispatching ruleset scans over the {!Alveare_exec.Pool} host
-    domains. No sockets, no threads of its own — the {!Server} accept
-    loop calls {!handle} from its worker threads, and tests call it
-    directly. *)
+    domains. Scans run each compilation's plan with its lazy-DFA
+    overlay family wherever the overlay can engage; responses are those
+    of the plan path, so no setting turns it off. No sockets, no
+    threads of its own — the {!Server} accept loop calls {!handle} from
+    its worker threads, and tests call it directly. *)
 
 type config = {
   cache : Alveare_compiler.Compile.cache;
@@ -27,11 +29,6 @@ type config = {
           backtracking of degree [>= k] (attempt cost n^(k+1));
           [None] (default) admits every polynomial pattern *)
   max_input : int;  (** inputs longer than this are [Too_large] *)
-  dfa : bool;
-      (** execute backtracking-free fragments on the lazy-DFA overlay
-          ({!Alveare_arch.Dfa_overlay}); responses — spans and every
-          stat — are bit-identical with it off, only host throughput
-          changes *)
   extended : bool;
       (** accept the extended pattern dialect (intersection [&],
           complement [(?~r)], lookarounds). Extended patterns the
@@ -47,8 +44,8 @@ type config = {
 
 val default_config : config
 (** Shared default cache, 1 worker, 1 core, gate on (exponential only,
-    [max_polynomial_degree = None]), 16 MiB input cap, overlay on,
-    extended dialect off. *)
+    [max_polynomial_degree = None]), 16 MiB input cap, extended dialect
+    off. *)
 
 type t
 

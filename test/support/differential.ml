@@ -52,9 +52,10 @@ let check_case ast input : failure list =
     if sim <> oracle then
       fail "simulator"
         (Fmt.str "sim %s oracle %s" (show_spans sim) (show_spans oracle));
-    (* plan executor vs legacy interpreter: identical spans AND a
-       bit-identical stats record (every counter, including cycles and
-       max stack depth) on the dense and prefiltered scans *)
+    (* plan executor vs the reference interpreter (Core_oracle):
+       identical spans AND a bit-identical stats record (every counter,
+       including cycles and max stack depth) on the dense and
+       prefiltered scans *)
     let show_stats (s : Core.stats) =
       Fmt.str
         "cyc=%d ins=%d rb=%d push=%d depth=%d scan=%d att=%d seen=%d \
@@ -63,25 +64,24 @@ let check_case ast input : failure list =
         s.Core.max_stack_depth s.Core.scan_cycles s.Core.attempts
         s.Core.offsets_scanned s.Core.offsets_pruned s.Core.match_count
     in
-    let plan_vs_legacy engine run =
+    let plan_vs_oracle engine ?prefilter () =
       let ps = Core.fresh_stats () in
-      let ls = Core.fresh_stats () in
-      let pm = run ~stats:ps ~use_plan:true in
-      let lm = run ~stats:ls ~use_plan:false in
-      if pm <> lm then
+      let os = Core.fresh_stats () in
+      let pm =
+        Core.find_all ~stats:ps ?prefilter ~plan:c.Compile.plan
+          c.Compile.program input
+      in
+      let om = Core_oracle.find_all ~stats:os ?prefilter c.Compile.program input in
+      if pm <> om then
         fail engine
-          (Fmt.str "plan %s legacy %s" (show_spans pm) (show_spans lm));
-      if ps <> ls then
+          (Fmt.str "plan %s oracle %s" (show_spans pm) (show_spans om));
+      if ps <> os then
         fail engine
-          (Fmt.str "stats diverge@.  plan:   %s@.  legacy: %s" (show_stats ps)
-             (show_stats ls))
+          (Fmt.str "stats diverge@.  plan:   %s@.  oracle: %s" (show_stats ps)
+             (show_stats os))
     in
-    plan_vs_legacy "plan-dense" (fun ~stats ~use_plan ->
-        Core.find_all ~stats ~use_plan ~plan:c.Compile.plan c.Compile.program
-          input);
-    plan_vs_legacy "plan+prefilter" (fun ~stats ~use_plan ->
-        Core.find_all ~stats ~use_plan ~plan:c.Compile.plan
-          ~prefilter:c.Compile.prefilter c.Compile.program input);
+    plan_vs_oracle "plan-dense" ();
+    plan_vs_oracle "plan+prefilter" ~prefilter:c.Compile.prefilter ();
     (* lazy-DFA overlay vs plain plan path: identical spans AND a
        bit-identical stats record, dense and prefiltered, plus a
        2-state arena (constant flushing) as graceful-degradation
@@ -265,15 +265,16 @@ let run_extended_corpus ?(on_failure = fun _ _ -> ()) ~count ~seed ()
 (* The rewrite optimiser's contract, checked end to end on the real
    execution paths: the optimised and unoptimised compilations of one
    AST report bit-identical span chains on every scan configuration
-   (plan on/off × prefilter on/off), and the optimised program never
-   does more speculative work — its attempt count is no worse, and so
-   is its combined attempt + scan-cycle total. (Raw scan cycles MAY
-   rise: factoring an alternation head into a class gives the program
-   a leading-instruction vector filter, which turns full attempts into
-   cheap scan rejections at <= 1 scan cycle per attempt saved — that
-   trade is exactly the point, and the combined total catches any real
-   regression.) Each compilation scans with its own prefilter, exactly
-   as production does. *)
+   (reference interpreter, plan and overlay × prefilter on/off), and
+   the optimised program never does more speculative work — its
+   attempt count is no worse, and so is its combined attempt +
+   scan-cycle total. (Raw scan cycles MAY rise: factoring an
+   alternation head into a class gives the program a leading-instruction
+   vector filter, which turns full attempts into cheap scan rejections
+   at <= 1 scan cycle per attempt saved — that trade is exactly the
+   point, and the combined total catches any real regression.) Each
+   compilation scans with its own prefilter, exactly as production
+   does. *)
 let check_opt_case ast input : failure list =
   let pattern = Alveare_frontend.Ast.to_pattern ast in
   match
@@ -292,23 +293,23 @@ let check_opt_case ast input : failure list =
     let fail engine detail =
       failures := { engine; pattern; input; detail } :: !failures
     in
-    let run (c : Compile.compiled) ~use_plan ~prefilter ~dfa =
+    let run (c : Compile.compiled) ~executor ~prefilter =
       let stats = Core.fresh_stats () in
-      let fam = if dfa then c.Compile.dfa else None in
+      let prefilter = if prefilter then Some c.Compile.prefilter else None in
       let spans =
-        if prefilter then
-          Core.find_all ~stats ~use_plan ~plan:c.Compile.plan ?dfa:fam
-            ~prefilter:c.Compile.prefilter c.Compile.program input
-        else
-          Core.find_all ~stats ~use_plan ~plan:c.Compile.plan ?dfa:fam
+        match executor with
+        | `Oracle -> Core_oracle.find_all ~stats ?prefilter c.Compile.program input
+        | `Plan | `Dfa ->
+          let dfa = if executor = `Dfa then c.Compile.dfa else None in
+          Core.find_all ~stats ?prefilter ~plan:c.Compile.plan ?dfa
             c.Compile.program input
       in
       (spans, stats)
     in
     List.iter
-      (fun (name, use_plan, prefilter, dfa) ->
-         let os, ostats = run o ~use_plan ~prefilter ~dfa in
-         let rs, rstats = run r ~use_plan ~prefilter ~dfa in
+      (fun (name, executor, prefilter) ->
+         let os, ostats = run o ~executor ~prefilter in
+         let rs, rstats = run r ~executor ~prefilter in
          if os <> rs then
            fail ("opt-" ^ name)
              (Fmt.str "optimised %s unoptimised %s" (show_spans os)
@@ -324,12 +325,12 @@ let check_opt_case ast input : failure list =
                 "attempts+scan cycles worse: optimised %d+%d unoptimised %d+%d"
                 ostats.Core.attempts ostats.Core.scan_cycles
                 rstats.Core.attempts rstats.Core.scan_cycles))
-      [ ("dense-legacy", false, false, false);
-        ("dense-plan", true, false, false);
-        ("dense-plan-dfa", true, false, true);
-        ("prefilter-legacy", false, true, false);
-        ("prefilter-plan", true, true, false);
-        ("prefilter-plan-dfa", true, true, true) ];
+      [ ("dense-oracle", `Oracle, false);
+        ("dense-plan", `Plan, false);
+        ("dense-plan-dfa", `Dfa, false);
+        ("prefilter-oracle", `Oracle, true);
+        ("prefilter-plan", `Plan, true);
+        ("prefilter-plan-dfa", `Dfa, true) ];
     (* the emitted binary must never grow (compile-driver guard) *)
     if Compile.code_size o > Compile.code_size r then
       fail "opt-size"
@@ -358,10 +359,11 @@ module Ruleset = Alveare_compiler.Ruleset
    single-core prefiltered [Ruleset.scan] report is bit-identical to the
    rule-by-rule reference ([Per_rule.scan]) — tagged (rule, span) hits
    in the same order, the same per-rule cycles, and the same aggregate
-   attempt / scanned / pruned / prefiltered counters. Checked with the
-   overlay on and off (the off path pins plain-plan attempts), and hits
-   additionally against the unfiltered scan (ground truth) at every
-   core count in [cores]. *)
+   attempt / scanned / pruned / prefiltered counters. The one report is
+   held against the reference with the overlay on and off (the off
+   reference pins plain-plan attempts), and its hits additionally
+   against the unfiltered scan (ground truth) at every core count in
+   [cores]. *)
 let check_onepass_case ?(cores = [ 1; 4 ]) (specs : (string * string) list)
     (input : string) : failure list =
   match Ruleset.compile specs with
@@ -389,9 +391,9 @@ let check_onepass_case ?(cores = [ 1; 4 ]) (specs : (string * string) list)
                  Fmt.str "%d:%d-%d" id sp.S.start sp.S.stop)
               (tagged r)))
     in
+    let fused = Ruleset.scan rs input in
     List.iter
       (fun dfa ->
-         let fused = Ruleset.scan ~dfa rs input in
          let reference = Per_rule.scan ~dfa rs input in
          if fused <> reference then
            fail

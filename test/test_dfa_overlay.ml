@@ -6,9 +6,10 @@
    qcheck properties over the shared random-AST generators plus unit
    tests for the seams: the bail handoff at fragment boundaries, the
    flush-and-refill path under an artificially tiny arena, streaming
-   resume across chunk refills, and the guards that keep the overlay off
-   mismatched plans and finite-stack configs. The [@dfacheck] dune alias
-   runs exactly this binary. *)
+   resume across chunk refills, the guards that keep the overlay off
+   mismatched plans and finite-stack configs, and its engagement from
+   the ruleset and façade scans. The [@dfacheck] dune alias runs exactly
+   this binary. *)
 
 module Compile = Alveare_compiler.Compile
 module Core = Alveare_arch.Core
@@ -240,6 +241,29 @@ let test_finite_stack_bypasses () =
     (after.Dfa.dfa_attempts = before.Dfa.dfa_attempts
      && after.Dfa.bails = before.Dfa.bails)
 
+(* The overlay engages wherever it can, with no switch: a ruleset scan
+   and a façade scan of a pattern with a family both run attempts on
+   its table. The family's own counters are read, not the process-wide
+   totals, which drop whenever another test's family is collected. Both
+   entry points compile through the shared cache, so they share the
+   family read here. *)
+let test_engages_without_switch () =
+  let module Ruleset = Alveare_compiler.Ruleset in
+  let pattern = "ab+c" in
+  let fam = Option.get (Compile.cached_exn pattern).Compile.dfa in
+  let input = String.concat "" (List.init 8 (fun _ -> "xxabbbcyyabczz")) in
+  let served_by_table scan =
+    let before = Dfa.family_stats fam in
+    scan ();
+    let after = Dfa.family_stats fam in
+    after.Dfa.hits > before.Dfa.hits
+  in
+  let rs = Ruleset.compile_exn [ ("r", pattern) ] in
+  check "Ruleset.scan" true
+    (served_by_table (fun () -> ignore (Ruleset.scan rs input)));
+  check "Alveare.find_all" true
+    (served_by_table (fun () -> ignore (Alveare.find_all pattern input)))
+
 (* The overlay finaliser runs inside whatever allocation the GC picks,
    possibly on a thread holding a family mutex. Past 128 families a
    domain drops its instance table, so every scan of a 600-rule set
@@ -316,4 +340,6 @@ let () =
         [ Alcotest.test_case "mismatched plan ignored" `Quick
             test_mismatched_plan_ignored;
           Alcotest.test_case "finite stack bypasses" `Quick
-            test_finite_stack_bypasses ] ) ]
+            test_finite_stack_bypasses;
+          Alcotest.test_case "engages without a switch" `Quick
+            test_engages_without_switch ] ) ]

@@ -1,17 +1,21 @@
-(* Pre-decoded plan executor (Alveare_arch.Plan) versus the legacy
-   instruction-at-a-time interpreter: the two must agree on every span
-   AND every stats field, bit for bit, on every scan mode — that
-   equality is what lets the plan path be the default executor while
-   the interpreter remains the traced/differential oracle. Backed by
-   qcheck properties over the shared random-AST generators, plus unit
+(* Pre-decoded plan executor (Alveare_arch.Plan) versus the
+   instruction-at-a-time interpreter it replaced (the test oracle
+   Core_oracle): the two must agree on every span, every stats field and
+   every trace event, bit for bit, on every scan mode — that equality is
+   what lets the plan path be the only executor in the library. Backed
+   by qcheck properties over the shared random-AST generators, plus unit
    tests for the bitset edge cases the lowering must fold correctly
-   (negated classes at end-of-input, empty OR, inverted RANGE) and for
-   scratch-state reuse. The [@plancheck] dune alias runs exactly this
-   binary. *)
+   (negated classes at end-of-input, empty OR, inverted RANGE), for
+   scratch-state reuse and for the context arena's memory bound. The
+   [@plancheck] dune alias runs exactly this binary. *)
 
 module Compile = Alveare_compiler.Compile
 module Core = Alveare_arch.Core
 module Plan = Alveare_arch.Plan
+module Scan_cursor = Alveare_arch.Scan_cursor
+module Trace = Alveare_arch.Trace
+module Dfa = Alveare_arch.Dfa_overlay
+module Core_oracle = Alveare_test_support.Core_oracle
 module I = Alveare_isa.Instruction
 module S = Alveare_engine.Semantics
 module Gen_ast = Alveare_test_support.Gen_ast
@@ -28,19 +32,19 @@ let show_stats (s : Core.stats) =
     s.Core.max_stack_depth s.Core.scan_cycles s.Core.attempts
     s.Core.offsets_scanned s.Core.offsets_pruned s.Core.match_count
 
-(* Run one scan both ways; fail loudly on any span or counter drift. *)
-let agree name run =
+(* Run one scan on the plan path and on the oracle; fail loudly on any
+   span or counter drift. *)
+let agree name plan_run oracle_run =
   let ps = Core.fresh_stats () in
-  let ls = Core.fresh_stats () in
-  let pm = run ~stats:ps ~use_plan:true in
-  let lm = run ~stats:ls ~use_plan:false in
-  if pm <> lm then
-    QCheck2.Test.fail_reportf "%s spans: plan %s legacy %s" name
-      (show_spans pm) (show_spans lm);
-  if ps <> ls then
-    QCheck2.Test.fail_reportf "%s stats:@.  plan:   %s@.  legacy: %s" name
-      (show_stats ps) (show_stats ls);
-  true
+  let os = Core.fresh_stats () in
+  let pm = plan_run ~stats:ps in
+  let om = oracle_run ~stats:os in
+  if pm <> om then
+    QCheck2.Test.fail_reportf "%s spans: plan %s oracle %s" name
+      (show_spans pm) (show_spans om);
+  if ps <> os then
+    QCheck2.Test.fail_reportf "%s stats:@.  plan:   %s@.  oracle: %s" name
+      (show_stats ps) (show_stats os)
 
 (* Sorted strict subset of offsets 0..n, deterministic per case: keeps
    the candidate-array scan (and its monotone cursor) honest without a
@@ -50,8 +54,8 @@ let some_candidates input =
   Array.of_list
     (List.filter (fun i -> i mod 3 <> 1) (List.init (n + 1) (fun i -> i)))
 
-let prop_plan_equals_legacy =
-  QCheck2.Test.make ~count:400 ~name:"plan == legacy (spans and all stats)"
+let prop_plan_equals_oracle =
+  QCheck2.Test.make ~count:400 ~name:"plan == oracle (spans and all stats)"
     ~print:Gen_ast.print_ast_and_input Gen_ast.gen_ast_and_input
     (fun (ast, input) ->
       match Compile.compile_ast ast with
@@ -59,26 +63,76 @@ let prop_plan_equals_legacy =
       | Ok c ->
         let program = c.Compile.program in
         let plan = c.Compile.plan in
-        ignore
-          (agree "find_all dense" (fun ~stats ~use_plan ->
-               Core.find_all ~stats ~use_plan ~plan program input));
-        ignore
-          (agree "find_all prefilter" (fun ~stats ~use_plan ->
-               Core.find_all ~stats ~use_plan ~plan
-                 ~prefilter:c.Compile.prefilter program input));
-        ignore
-          (agree "candidates" (fun ~stats ~use_plan ->
-               Core.find_all_candidates ~stats ~use_plan ~plan
-                 ~candidates:(some_candidates input) program input));
+        let prefilter = c.Compile.prefilter in
+        let candidates = some_candidates input in
+        agree "find_all dense"
+          (fun ~stats -> Core.find_all ~stats ~plan program input)
+          (fun ~stats -> Core_oracle.find_all ~stats program input);
+        agree "find_all prefilter"
+          (fun ~stats -> Core.find_all ~stats ~plan ~prefilter program input)
+          (fun ~stats -> Core_oracle.find_all ~stats ~prefilter program input);
+        agree "candidates"
+          (fun ~stats ->
+            Core.find_all_candidates ~stats ~plan ~candidates program input)
+          (fun ~stats ->
+            Core_oracle.find_all_candidates ~stats ~candidates program input);
         List.iter
           (fun from ->
-            ignore
-              (agree
-                 (Printf.sprintf "search from=%d" from)
-                 (fun ~stats ~use_plan ->
-                   Option.to_list
-                     (Core.search ~stats ~use_plan ~plan ~from program input))))
+            agree
+              (Printf.sprintf "search from=%d" from)
+              (fun ~stats ->
+                Option.to_list (Core.search ~stats ~plan ~from program input))
+              (fun ~stats ->
+                Option.to_list (Core_oracle.search ~stats ~from program input)))
           [ 0; String.length input / 2; String.length input ];
+        true)
+
+(* Traced scans: the plan path's events equal the oracle's one for one,
+   dense and prefiltered, and with the compiled overlay family given —
+   a traced scan must leave the overlay untouched (its table records no
+   cycles), which the family's counters show. *)
+let show_event = function
+  | Some e -> Fmt.str "%a" Trace.pp_event e
+  | None -> "(end of trace)"
+
+let rec first_divergence i = function
+  | [], [] -> None
+  | x :: xs, y :: ys when x = y -> first_divergence (i + 1) (xs, ys)
+  | xs, ys -> Some (i, List.nth_opt xs 0, List.nth_opt ys 0)
+
+let prop_trace_equals_oracle =
+  QCheck2.Test.make ~count:300
+    ~name:"traced plan == traced oracle (events, spans and all stats)"
+    ~print:Gen_ast.print_ast_and_input Gen_ast.gen_ast_and_input
+    (fun (ast, input) ->
+      match Compile.compile_ast ast with
+      | Error _ -> true
+      | Ok c ->
+        let program = c.Compile.program in
+        let overlay () = Option.map Dfa.family_stats c.Compile.dfa in
+        List.iter
+          (fun (name, prefilter, dfa) ->
+            let pt = Trace.create () and ot = Trace.create () in
+            let before = overlay () in
+            agree name
+              (fun ~stats ->
+                Core.find_all ~stats ~trace:pt ?prefilter ~plan:c.Compile.plan
+                  ?dfa program input)
+              (fun ~stats ->
+                Core_oracle.find_all ~stats ~trace:ot ?prefilter program input);
+            if overlay () <> before then
+              QCheck2.Test.fail_reportf "%s: traced scan engaged the overlay"
+                name;
+            match first_divergence 0 (Trace.events pt, Trace.events ot) with
+            | None -> ()
+            | Some (i, p, o) ->
+              QCheck2.Test.fail_reportf
+                "%s trace diverges at event %d:@.  plan:   %s@.  oracle: %s"
+                name i (show_event p) (show_event o))
+          [ ("dense", None, None);
+            ("prefilter", Some c.Compile.prefilter, None);
+            ("dense+dfa", None, c.Compile.dfa);
+            ("prefilter+dfa", Some c.Compile.prefilter, c.Compile.dfa) ];
         true)
 
 (* The candidate scan with ALL offsets as candidates is the dense scan:
@@ -112,8 +166,8 @@ let test_negated_class_at_eoi () =
   let c = Compile.compile_exn "[^a]" in
   check "plan: no char left" true
     (Core.match_at ~plan:c.Compile.plan c.Compile.program "x" 1 = None);
-  check "legacy agrees" true
-    (Core.match_at ~use_plan:false c.Compile.program "x" 1 = None);
+  check "oracle agrees" true
+    (Core_oracle.match_at c.Compile.program "x" 1 = None);
   check "plan: in bounds" true
     (Core.match_at ~plan:c.Compile.plan c.Compile.program "x" 0 = Some 1);
   (* whole-string scan on input ending right before the class byte *)
@@ -174,18 +228,37 @@ let test_stack_overflow_parity () =
   let c = Compile.compile_exn "(a|b|c)*x" in
   let config = { Core.default_config with Core.stack_capacity = Some 2 } in
   let input = String.make 24 'a' in
-  let boom use_plan =
-    match
-      Core.find_all ~config ~use_plan ~plan:c.Compile.plan c.Compile.program
-        input
-    with
+  let boom scan =
+    match scan () with
     | exception Core.Exec_error (Core.Stack_overflow n) -> Some n
     | _ -> None
   in
-  check "both paths overflow identically" true (boom true = boom false);
-  check "overflow reported" true (boom true <> None)
+  let plan =
+    boom (fun () ->
+        Core.find_all ~config ~plan:c.Compile.plan c.Compile.program input)
+  in
+  let oracle =
+    boom (fun () -> Core_oracle.find_all ~config c.Compile.program input)
+  in
+  check "both paths overflow identically" true (plan = oracle);
+  check "overflow reported" true (plan <> None)
 
 (* --- scratch reuse ------------------------------------------------------ *)
+
+(* One scratch shared by every scan below, across patterns and tests. *)
+let shared_scratch = Plan.create_scratch ()
+
+(* A dense scan on one cursor, offering every offset. *)
+let cursor_scan ~stats plan input =
+  let c =
+    Scan_cursor.start ~dfa:None ~config:Core.default_config ~stats ~all:true
+      plan shared_scratch input 0
+  in
+  let rec go offset =
+    if offset <= String.length input then go (Scan_cursor.offer c offset)
+  in
+  go 0;
+  Scan_cursor.finish c
 
 let test_scratch_reuse () =
   let patterns =
@@ -195,7 +268,6 @@ let test_scratch_reuse () =
     [ ""; "a"; "abc"; "abbbbc"; String.make 64 'a';
       "abababcdcdabbc"; String.concat "" (List.init 16 (fun _ -> "abcd")) ]
   in
-  let scratch = Plan.create_scratch () in
   List.iter
     (fun p ->
       let c = Compile.compile_exn p in
@@ -207,10 +279,7 @@ let test_scratch_reuse () =
               c.Compile.program input
           in
           let reused_stats = Core.fresh_stats () in
-          let reused =
-            Core.find_all ~stats:reused_stats ~scratch ~plan:c.Compile.plan
-              c.Compile.program input
-          in
+          let reused = cursor_scan ~stats:reused_stats c.Compile.plan input in
           if fresh <> reused || fresh_stats <> reused_stats then
             Alcotest.failf
               "scratch reuse diverged on %s / %S: %s vs %s (%s | %s)" p input
@@ -224,15 +293,29 @@ let test_scratch_reuse () =
 let test_scratch_growth () =
   let c = Compile.compile_exn "(a|b)*" in
   let input = String.make 512 'a' in
-  let scratch = Plan.create_scratch () in
   let s1 = Core.fresh_stats () in
-  let r1 = Core.find_all ~stats:s1 ~scratch ~plan:c.Compile.plan
-      c.Compile.program input in
+  let r1 = cursor_scan ~stats:s1 c.Compile.plan input in
   let s2 = Core.fresh_stats () in
-  let r2 = Core.find_all ~stats:s2 ~use_plan:false c.Compile.program input in
+  let r2 = Core_oracle.find_all ~stats:s2 c.Compile.program input in
   check "growth: spans equal" true (r1 = r2);
   check "growth: stats equal" true (s1 = s2);
   check "growth: deep stack seen" true (s1.Core.max_stack_depth > 64)
+
+(* The context arena grows with the live stack depth, not with an
+   attempt's total work: a backtracking attempt rewinds the arena past
+   every frame of each path it abandons. This scan reaches stack depth
+   20 but abandons millions of frames; keeping them would allocate
+   about 800 MB. *)
+let test_arena_bounded_by_depth () =
+  let c = Compile.compile_exn "(.+)*?[e-g]hd" in
+  let input = "hhaffdadagdhcaeebdhd" in
+  let stats = Core.fresh_stats () in
+  let before = Gc.allocated_bytes () in
+  ignore (Core.find_all ~stats ~plan:c.Compile.plan c.Compile.program input);
+  let allocated = Gc.allocated_bytes () -. before in
+  if allocated > 32e6 then
+    Alcotest.failf "scan allocated %.0f MB (max stack depth %d)"
+      (allocated /. 1e6) stats.Core.max_stack_depth
 
 (* --- leading-filter table ---------------------------------------------- *)
 
@@ -254,7 +337,8 @@ let test_leading_variants () =
    | _ -> Alcotest.fail "expected Lead_none for quantified head")
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
-    [ prop_plan_equals_legacy; prop_candidates_complete ]
+    [ prop_plan_equals_oracle; prop_trace_equals_oracle;
+      prop_candidates_complete ]
 
 let () =
   Alcotest.run "plan"
@@ -269,7 +353,9 @@ let () =
             test_stack_overflow_parity ] );
       ( "scratch",
         [ Alcotest.test_case "reuse across patterns" `Quick test_scratch_reuse;
-          Alcotest.test_case "growth mid-attempt" `Quick test_scratch_growth ] );
+          Alcotest.test_case "growth mid-attempt" `Quick test_scratch_growth;
+          Alcotest.test_case "arena bounded by depth" `Quick
+            test_arena_bounded_by_depth ] );
       ( "leading",
         [ Alcotest.test_case "filter variants" `Quick test_leading_variants ] )
     ]
