@@ -216,9 +216,10 @@ let terminal_trans next ~instr ~rolls ~pushes ~peak =
 
 exception Bail
 
-(* Rarely-touched per-attempt registers (deferred unwind + match
-   checkpoint), preallocated so the attempt loop never allocates.
-   Written only while the instance lock is held. *)
+(* Rarely-touched per-attempt registers (deferred unwind, match
+   checkpoint, and the final deltas a terminal transition hands back),
+   preallocated so the attempt loop never allocates. Written only while
+   the instance lock is held. *)
 type regs = {
   mutable r_ai : int;   (* acc: deferred unwind instr *)
   mutable r_ar : int;
@@ -230,6 +231,10 @@ type regs = {
   mutable r_ckr : int;
   mutable r_ckp : int;
   mutable r_ckpk : int;
+  mutable r_fi : int;   (* final deltas of a finished attempt *)
+  mutable r_fr : int;
+  mutable r_fp : int;
+  mutable r_fpk : int;
 }
 
 (* --- Families and instances --------------------------------------------- *)
@@ -415,7 +420,7 @@ let create_instance fam =
       regs =
         { r_ai = 0; r_ar = 0; r_ap = 0; r_apk = 0;
           r_hck = false; r_ce = 0; r_cki = 0; r_ckr = 0;
-          r_ckp = 0; r_ckpk = 0 };
+          r_ckp = 0; r_ckpk = 0; r_fi = 0; r_fr = 0; r_fp = 0; r_fpk = 0 };
       mu = Mutex.create ();
       c_states = 0; c_trans = 0; c_hits = 0; c_misses = 0;
       c_flushes = 0; c_bails = 0; c_attempts = 0 }
@@ -755,117 +760,127 @@ let build_missing t sid b (row : trans array) =
   Array.unsafe_set row b tr;
   tr
 
-(* One matching attempt on the transition table. Returns [-2] on bail
-   (no counters touched), [-1] on a failed attempt, the match end
-   otherwise; [stats] is updated exactly as [Plan.run] would have.
-   Caller must hold [t.mu]. Allocation-free: the hot registers ride
-   the recursion arguments, the cold ones live in [t.regs].
+(* One matching attempt on the transition table: [step] and [apply]
+   below, tail-calling each other once per input byte. Register
+   discipline: [fi/fr/fp] accumulate the forward deltas (work on the
+   still-live frontier; cycles are derived at the end as instructions +
+   rollbacks), [fpk] the absolute push peak, [stale] the count of
+   staled (unpopped) snapshots. [t.regs] carries the deferred unwind
+   (cost of popping every stale snapshot, paid only on failure) and the
+   newest accepting stale snapshot — the match checkpoint the real
+   machine would pop first and match through. On success both are
+   dropped: the machine returns with the stack still standing. A
+   terminal transition leaves the attempt's final deltas in [t.regs]
+   for [run_dfa] to charge.
 
-   Register discipline: [fi/fr/fp] accumulate the forward deltas
-   (work on the still-live frontier; cycles are derived at the end as
-   instructions + rollbacks), [fpk] the absolute push peak, [stale]
-   the count of staled (unpopped) snapshots. [t.regs] carries the
-   deferred unwind (cost of popping every stale snapshot, paid only
-   on failure) and the newest accepting stale snapshot — the match
-   checkpoint the real machine would pop first and match through. On
-   success both are dropped: the machine returns with the stack still
-   standing. *)
+   Allocation-free: both functions are top-level (ten arguments, all
+   passed in registers), the hot registers ride the arguments and the
+   cold ones live in [t.regs]; only a transition-table miss allocates,
+   to build the missing cell. [rows] rides the recursion so the hit
+   path never re-reads the vec header; a miss may grow (or flush) the
+   arena, so its continuation re-reads [t.rows.data]. *)
+let settle_regs rg fi fr fp fpk =
+  rg.r_fi <- fi;
+  rg.r_fr <- fr;
+  rg.r_fp <- fp;
+  rg.r_fpk <- fpk
+
+let rec step t input rows pos sid stale fi fr fp fpk =
+  let b =
+    if pos < String.length input then Char.code (String.unsafe_get input pos)
+    else 256
+  in
+  let row = Array.unsafe_get rows sid in
+  let tr = Array.unsafe_get row b in
+  if tr == unbuilt_trans then begin
+    t.c_misses <- t.c_misses + 1;
+    let tr = build_missing t sid b row in
+    apply t input t.rows.data pos tr stale fi fr fp fpk
+  end
+  else begin
+    t.c_hits <- t.c_hits + 1;
+    apply t input rows pos tr stale fi fr fp fpk
+  end
+
+and apply t input rows pos tr stale fi fr fp fpk =
+  let rg = t.regs in
+  let fi = fi + tr.d_instr
+  and fr = fr + tr.d_rolls
+  and fp = fp + tr.d_pushes in
+  let fpk =
+    if tr.rel_peak > 0 && stale + tr.rel_peak > fpk then stale + tr.rel_peak
+    else fpk
+  in
+  let next = tr.t_next in
+  if next >= 0 then begin
+    (if tr.ck_idx >= 0 then begin
+       (* the real machine pops down to this snapshot and matches
+          through it; everything below it is never popped, and the
+          checkpoint resets the deferred-unwind accumulators to the
+          (prefolded) cost of the snapshots above it *)
+       rg.r_hck <- true;
+       rg.r_ce <- pos;
+       rg.r_cki <- tr.ck_instr;
+       rg.r_ckr <- tr.ck_rolls;
+       rg.r_ckp <- tr.ck_pushes;
+       rg.r_ckpk <-
+         (if tr.ck_peak > 0 then stale + tr.ck_idx + tr.ck_peak else 0);
+       rg.r_ai <- tr.a_instr; rg.r_ar <- tr.a_rolls; rg.r_ap <- tr.a_pushes;
+       rg.r_apk <- (if tr.a_peakrel >= 0 then stale + tr.a_peakrel else 0)
+     end
+     else if tr.n_staled > 0 then begin
+       rg.r_ai <- rg.r_ai + tr.a_instr;
+       rg.r_ar <- rg.r_ar + tr.a_rolls;
+       rg.r_ap <- rg.r_ap + tr.a_pushes;
+       if tr.a_peakrel >= 0 && stale + tr.a_peakrel > rg.r_apk then
+         rg.r_apk <- stale + tr.a_peakrel
+     end);
+    step t input rows (pos + 1) next (stale + tr.n_staled) fi fr fp fpk
+  end
+  else if next = k_match then begin
+    (* success leaves the stack as-is: deferred unwind and checkpoint
+       are dropped *)
+    settle_regs rg fi fr fp fpk;
+    pos
+  end
+  else if next = k_fail then begin
+    (* unwind: pop stale snapshots top-down until the newest accepting
+       one (if any), then match through it *)
+    let fi = fi + rg.r_ai and fr = fr + rg.r_ar and fp = fp + rg.r_ap in
+    let fpk = if rg.r_apk > fpk then rg.r_apk else fpk in
+    if rg.r_hck then begin
+      let fi = fi + rg.r_cki and fr = fr + rg.r_ckr and fp = fp + rg.r_ckp in
+      settle_regs rg fi fr fp (if rg.r_ckpk > fpk then rg.r_ckpk else fpk);
+      rg.r_ce
+    end
+    else begin
+      settle_regs rg fi fr fp fpk;
+      -1
+    end
+  end
+  else raise Bail
+
+(* Charge a finished attempt's deltas, exactly as [Plan.run] would. *)
+let finish (stats : Machine.stats) rg =
+  stats.Machine.attempts <- stats.Machine.attempts + 1;
+  stats.Machine.instructions <- stats.Machine.instructions + rg.r_fi;
+  stats.Machine.cycles <- stats.Machine.cycles + rg.r_fi + rg.r_fr;
+  stats.Machine.rollbacks <- stats.Machine.rollbacks + rg.r_fr;
+  stats.Machine.stack_pushes <- stats.Machine.stack_pushes + rg.r_fp;
+  if rg.r_fpk > stats.Machine.max_stack_depth then
+    stats.Machine.max_stack_depth <- rg.r_fpk
+
+(* Returns [-2] on bail (no counters touched), [-1] on a failed
+   attempt, the match end otherwise; [stats] is updated exactly as
+   [Plan.run] would have. Caller must hold [t.mu]. *)
 let run_dfa t (stats : Machine.stats) (input : string) (start : int) : int =
-  let n = String.length input in
   let rg = t.regs in
   rg.r_ai <- 0; rg.r_ar <- 0; rg.r_ap <- 0; rg.r_apk <- 0;
   rg.r_hck <- false; rg.r_ce <- 0;
   rg.r_cki <- 0; rg.r_ckr <- 0; rg.r_ckp <- 0; rg.r_ckpk <- 0;
-  let finish fi fr fp fpk =
-    stats.Machine.attempts <- stats.Machine.attempts + 1;
-    stats.Machine.instructions <- stats.Machine.instructions + fi;
-    stats.Machine.cycles <- stats.Machine.cycles + fi + fr;
-    stats.Machine.rollbacks <- stats.Machine.rollbacks + fr;
-    stats.Machine.stack_pushes <- stats.Machine.stack_pushes + fp;
-    if fpk > stats.Machine.max_stack_depth then
-      stats.Machine.max_stack_depth <- fpk
-  in
-  (* [rows] rides the recursion so the hit path never re-reads the vec
-     header; a miss may grow (or flush) the arena, so its continuation
-     re-reads [t.rows.data]. *)
-  let rec step rows pos sid stale fi fr fp fpk =
-    let b =
-      if pos < n then Char.code (String.unsafe_get input pos) else 256
-    in
-    let row = Array.unsafe_get rows sid in
-    let tr = Array.unsafe_get row b in
-    if tr == unbuilt_trans then begin
-      t.c_misses <- t.c_misses + 1;
-      let tr = build_missing t sid b row in
-      apply t.rows.data pos tr stale fi fr fp fpk
-    end
-    else begin
-      t.c_hits <- t.c_hits + 1;
-      apply rows pos tr stale fi fr fp fpk
-    end
-  and apply rows pos tr stale fi fr fp fpk =
-    let fi = fi + tr.d_instr
-    and fr = fr + tr.d_rolls
-    and fp = fp + tr.d_pushes in
-    let fpk =
-      if tr.rel_peak > 0 && stale + tr.rel_peak > fpk then
-        stale + tr.rel_peak
-      else fpk
-    in
-    let next = tr.t_next in
-    if next >= 0 then begin
-      (if tr.ck_idx >= 0 then begin
-         (* the real machine pops down to this snapshot and matches
-            through it; everything below it is never popped, and the
-            checkpoint resets the deferred-unwind accumulators to the
-            (prefolded) cost of the snapshots above it *)
-         rg.r_hck <- true;
-         rg.r_ce <- pos;
-         rg.r_cki <- tr.ck_instr;
-         rg.r_ckr <- tr.ck_rolls;
-         rg.r_ckp <- tr.ck_pushes;
-         rg.r_ckpk <-
-           (if tr.ck_peak > 0 then stale + tr.ck_idx + tr.ck_peak else 0);
-         rg.r_ai <- tr.a_instr; rg.r_ar <- tr.a_rolls; rg.r_ap <- tr.a_pushes;
-         rg.r_apk <- (if tr.a_peakrel >= 0 then stale + tr.a_peakrel else 0)
-       end
-       else if tr.n_staled > 0 then begin
-         rg.r_ai <- rg.r_ai + tr.a_instr;
-         rg.r_ar <- rg.r_ar + tr.a_rolls;
-         rg.r_ap <- rg.r_ap + tr.a_pushes;
-         if tr.a_peakrel >= 0 && stale + tr.a_peakrel > rg.r_apk then
-           rg.r_apk <- stale + tr.a_peakrel
-       end);
-      step rows (pos + 1) next (stale + tr.n_staled) fi fr fp fpk
-    end
-    else if next = k_match then begin
-      (* success leaves the stack as-is: deferred unwind and
-         checkpoint are dropped *)
-      finish fi fr fp fpk;
-      pos
-    end
-    else if next = k_fail then begin
-      (* unwind: pop stale snapshots top-down until the newest
-         accepting one (if any), then match through it *)
-      let fi = fi + rg.r_ai
-      and fr = fr + rg.r_ar and fp = fp + rg.r_ap in
-      let fpk = if rg.r_apk > fpk then rg.r_apk else fpk in
-      if rg.r_hck then begin
-        let fi = fi + rg.r_cki
-        and fr = fr + rg.r_ckr and fp = fp + rg.r_ckp in
-        let fpk = if rg.r_ckpk > fpk then rg.r_ckpk else fpk in
-        finish fi fr fp fpk;
-        rg.r_ce
-      end
-      else begin
-        finish fi fr fp fpk;
-        -1
-      end
-    end
-    else raise Bail
-  in
-  match step t.rows.data start 0 0 0 0 0 0 with
+  match step t input t.rows.data start 0 0 0 0 0 0 with
   | r ->
+    finish stats rg;
     t.c_attempts <- t.c_attempts + 1;
     r
   | exception Bail ->
@@ -886,9 +901,8 @@ let acquire t ~config =
 
 let release t = Mutex.unlock t.mu
 
-let run_acquired t ?(config = Machine.default_config)
-    ~(stats : Machine.stats) (scratch : Plan.scratch) (input : string)
-    (start : int) : int option =
+let run_acquired t ~config ~(stats : Machine.stats) (scratch : Plan.scratch)
+    (input : string) (start : int) : int option =
   let r = run_dfa t stats input start in
   if r >= 0 then Some r
   else if r = -1 then None

@@ -87,10 +87,12 @@ val release : t -> unit
 (** End a successful {!acquire}. *)
 
 val run_acquired :
-  t -> ?config:Machine.config -> stats:Machine.stats ->
+  t -> config:Machine.config -> stats:Machine.stats ->
   Plan.scratch -> string -> int -> int option
 (** {!run} without the locking: caller holds the instance via
-    {!acquire}. Falls back to {!Plan.run} internally on a bail. *)
+    {!acquire}. Falls back to {!Plan.run} internally on a bail. An
+    attempt served by the table allocates nothing but the [Some] of a
+    match; [config] is required so that the call does not box it. *)
 
 (** {1 Cache observability} *)
 

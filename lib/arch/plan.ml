@@ -17,11 +17,11 @@
      [Core]'s dense scan.
 
    Execution reuses a [scratch]: the speculation stack lives in
-   preallocated, growable int arrays (pc / cursor / context / arena
-   mark), and the controller contexts themselves in a bump-allocated
-   arena of parallel arrays — frames are immutable once written and
-   share parents exactly like a persistent list, so snapshots stay O(1)
-   without allocating in the hot loop. Popping a snapshot rewinds the
+   growable int arrays (pc / cursor / context / arena mark), and the
+   controller contexts themselves in a bump-allocated arena of parallel
+   arrays, all allocated at first use — frames are immutable once
+   written and share parents exactly like a persistent list, so
+   snapshots stay O(1) without allocating in the hot loop. Popping a snapshot rewinds the
    arena to its mark, so the arena grows with the live depth, not with
    an attempt's total work.
 
@@ -216,25 +216,22 @@ type scratch = {
   mutable cx_qmax : int array;
 }
 
+(* The arrays start empty and take [initial_capacity] entries at the
+   first push or frame, doubling after that: a scan whose attempts all
+   run on the overlay, or that attempts nothing, allocates no more than
+   the record. *)
 let initial_capacity = 64
 
 let create_scratch () =
-  { sp = 0;
-    st_pc = Array.make initial_capacity 0;
-    st_cursor = Array.make initial_capacity 0;
-    st_ctx = Array.make initial_capacity 0;
-    st_cn = Array.make initial_capacity 0;
-    cn = 0;
-    cx_kind = Array.make initial_capacity 0;
-    cx_parent = Array.make initial_capacity 0;
-    cx_fwd = Array.make initial_capacity 0;
-    cx_body = Array.make initial_capacity 0;
-    cx_count = Array.make initial_capacity 0;
-    cx_iter = Array.make initial_capacity 0;
-    cx_qmin = Array.make initial_capacity 0;
-    cx_qmax = Array.make initial_capacity 0 }
+  { sp = 0; st_pc = [||]; st_cursor = [||]; st_ctx = [||]; st_cn = [||];
+    cn = 0; cx_kind = [||]; cx_parent = [||]; cx_fwd = [||]; cx_body = [||];
+    cx_count = [||]; cx_iter = [||]; cx_qmin = [||]; cx_qmax = [||] }
 
-let grow a = Array.append a (Array.make (Array.length a) 0)
+let grow a =
+  let n = Array.length a in
+  let b = Array.make (max initial_capacity (2 * n)) 0 in
+  Array.blit a 0 b 0 n;
+  b
 
 let ensure_stack s =
   if s.sp >= Array.length s.st_pc then begin

@@ -6,9 +6,10 @@
     and a leading-filter table that drives {!Core}'s memchr-style skip
     loop.
 
-    Execution reuses a {!scratch}: preallocated, growable int arrays for
-    the speculation stack and a bump-allocated arena for controller
-    contexts, so the inner loop never allocates. {!run} optionally
+    Execution reuses a {!scratch}: growable int arrays for the
+    speculation stack and a bump-allocated arena for controller
+    contexts, allocated at their first use and reused after that, so
+    the inner loop never allocates. {!run} optionally
     records a per-cycle {!Trace}. Spans, stats and traces equal those of
     the instruction-at-a-time interpreter kept as the test oracle
     ([test/support/core_oracle.ml], pinned by the [@plancheck]
@@ -77,6 +78,10 @@ val literal_matches : string -> int -> string -> bool
 type scratch
 
 val create_scratch : unit -> scratch
+(** A fresh scratch: the record only. Its arrays are allocated at the
+    first push or controller frame, so a scan whose attempts never get
+    that far (no candidates, or every attempt on the lazy-DFA overlay)
+    pays for no arrays. *)
 
 val run :
   ?config:Machine.config -> ?trace:Trace.t -> stats:Machine.stats ->

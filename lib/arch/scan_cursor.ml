@@ -60,12 +60,12 @@ let flush_run c =
     let cycles = (c.rejected + cu - 1) / cu in
     c.stats.Machine.scan_cycles <- c.stats.Machine.scan_cycles + cycles;
     c.stats.Machine.cycles <- c.stats.Machine.cycles + cycles;
-    Option.iter
-      (fun tr ->
-         Trace.record tr
-           { Trace.cycle = c.stats.Machine.cycles; pc = 0; cursor = 0;
-             stack_depth = 0; kind = Trace.Scan_skip c.rejected })
-      c.trace;
+    (match c.trace with
+     | Some tr ->
+       Trace.record tr
+         { Trace.cycle = c.stats.Machine.cycles; pc = 0; cursor = 0;
+           stack_depth = 0; kind = Trace.Scan_skip c.rejected }
+     | None -> ());
     c.rejected <- 0
   end
 

@@ -319,7 +319,16 @@ let rec factor_suffixes rewrite_branches branches =
 (* Quantifier rules. *)
 
 (* Adjacent repeats of one atom merge counters when their backtracking
-   orders compose (same greediness, or one side exactly counted). *)
+   orders compose (same greediness, or one side exactly counted) and the
+   atom is rigid: every match of it has one nonzero width, so a total
+   count fixes the end position. A variable-width atom does not compose:
+   `([^\n]{2,3})+([^\n]{2,3})+` over ten `a`s matches [0,10), but the
+   merged `([^\n]{2,3}){2,}` stops at [0,9). *)
+let rigid x =
+  match Alveare_prefilter.Prefilter.fixed_length x with
+  | Some w -> w > 0
+  | None -> false
+
 let view_repeat = function
   | Ast.Repeat (x, q) -> (x, q)
   | atom -> (atom, { Ast.qmin = 1; qmax = Some 1; greedy = true })
@@ -344,6 +353,7 @@ let coalesce_repeats parts =
       if (is_repeat a || is_repeat b)
          && Ast.equal xa xb
          && (qa.greedy = qb.greedy || exact qa || exact qb)
+         && rigid xa
       then go (Ast.Repeat (xa, add_bounds qa qb) :: rest)
       else a :: go (b :: rest)
     | tail -> tail
@@ -375,12 +385,7 @@ let fuse_nest x (qo : Ast.quant) =
     let order_ok =
       qi.Ast.qmin <= 1 || exact qo || (qi.Ast.qmax = None && qi.Ast.greedy)
     in
-    let rigid =
-      match Alveare_prefilter.Prefilter.fixed_length inner with
-      | Some w -> w > 0
-      | None -> false
-    in
-    if not (greed_ok && order_ok && rigid) then None
+    if not (greed_ok && order_ok && rigid inner) then None
     else begin
       let greedy =
         if exact qi then qo.Ast.greedy

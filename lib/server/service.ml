@@ -40,25 +40,37 @@ let default_config =
     max_input = 16 * 1024 * 1024;
     extended = false }
 
+(* Built rulesets, keyed on the request's rule list: a standing ruleset
+   resent with every request is compiled, indexed and fused once. A
+   [Ruleset.t] is immutable (per-scan cursors and overlay sessions are
+   made by each scan), so concurrent workers share one. The bound is a
+   constant, not a setting: [rulesets_cached] rulesets, each of at most
+   1/[rulesets_cached] of the compile cache's capacity in rules, so the
+   cache never pins more compiled rules than the compile cache holds. *)
+let rulesets_cached = 8
+
 type t = {
   config : config;
   metrics : Metrics.t;
+  rulesets : Ruleset.t Cache.t;
 }
 
 let create ?(config = default_config) metrics =
+  let rulesets = Cache.create ~capacity:rulesets_cached () in
   Metrics.register_gauge metrics "exec/pool-queue-depth" (fun () ->
       Float.of_int (Pool.queue_depth ()));
-  let cache_stat f =
-    fun () -> Float.of_int (f (Compile.cache_stats config.cache))
+  let register_cache prefix stats =
+    List.iter
+      (fun (name, f) ->
+         Metrics.register_gauge metrics (prefix ^ name) (fun () ->
+             Float.of_int (f (stats ()))))
+      [ ("size", fun s -> s.Cache.size);
+        ("hits", fun s -> s.Cache.hits);
+        ("misses", fun s -> s.Cache.misses);
+        ("evictions", fun s -> s.Cache.evictions) ]
   in
-  Metrics.register_gauge metrics "cache/size"
-    (cache_stat (fun s -> s.Cache.size));
-  Metrics.register_gauge metrics "cache/hits"
-    (cache_stat (fun s -> s.Cache.hits));
-  Metrics.register_gauge metrics "cache/misses"
-    (cache_stat (fun s -> s.Cache.misses));
-  Metrics.register_gauge metrics "cache/evictions"
-    (cache_stat (fun s -> s.Cache.evictions));
+  register_cache "cache/" (fun () -> Compile.cache_stats config.cache);
+  register_cache "ruleset-cache/" (fun () -> Cache.stats rulesets);
   Metrics.register_gauge metrics "cache/hit-rate" (fun () ->
       let s = Compile.cache_stats config.cache in
       let lookups = s.Cache.hits + s.Cache.misses in
@@ -101,7 +113,7 @@ let create ?(config = default_config) metrics =
     (onepass_stat (fun s -> s.C.product_threads));
   Metrics.register_gauge metrics "ruleset/product-states"
     (onepass_stat (fun s -> s.C.product_states));
-  { config; metrics }
+  { config; metrics; rulesets }
 
 let config t = t.config
 let metrics t = t.metrics
@@ -261,12 +273,39 @@ let handle_scan t ~id ~pattern ~input ~allow_risky =
                       spans;
                   stats = s })))
 
+(* Every field length-prefixed, so two rule lists share a key only if
+   they are equal. *)
+let ruleset_key rules =
+  let b = Buffer.create 256 in
+  let field s =
+    Buffer.add_string b (string_of_int (String.length s));
+    Buffer.add_char b ':';
+    Buffer.add_string b s
+  in
+  List.iter (fun (tag, pattern) -> field tag; field pattern) rules;
+  Buffer.contents b
+
+(* Only successful builds are cached: a ruleset with a bad rule is
+   compiled, and refused, on every request. *)
+let build_ruleset t rules =
+  let compile () =
+    Ruleset.compile ~cache:t.config.cache ~workers:t.config.scan_workers
+      ~extended:t.config.extended rules
+  in
+  if List.length rules > Cache.capacity t.config.cache / rulesets_cached then
+    compile ()
+  else
+    let key = ruleset_key rules in
+    match Cache.find_opt t.rulesets key with
+    | Some rs -> Ok rs
+    | None ->
+      let built = compile () in
+      Result.iter (Cache.add t.rulesets key) built;
+      built
+
 let handle_ruleset_scan t ~id ~rules ~input ~allow_risky =
   check_input t ~id input (fun () ->
-      match
-        Ruleset.compile ~cache:t.config.cache ~workers:t.config.scan_workers
-          ~extended:t.config.extended rules
-      with
+      match build_ruleset t rules with
       | Error errs ->
         err t id Protocol.Parse_error
           (String.concat "; "

@@ -5,7 +5,10 @@
     with proven-exploitable backtracking are refused with
     [Lint_rejected] unless the client sets [allow_risky]), and
     dispatching ruleset scans over the {!Alveare_exec.Pool} host
-    domains. Scans run each compilation's plan with its lazy-DFA
+    domains. A ruleset-scan request whose rule list (tags and patterns,
+    in order) was built before reuses that build from a small LRU of
+    built rulesets, so a standing ruleset costs only its scan; the
+    admission gate still runs on every request. Scans run each compilation's plan with its lazy-DFA
     overlay family wherever the overlay can engage; responses are those
     of the plan path, so no setting turns it off. No sockets, no
     threads of its own — the {!Server} accept loop calls {!handle} from
@@ -52,7 +55,12 @@ type t
 val create : ?config:config -> Metrics.t -> t
 (** Registers the serving callback gauges on the given registry:
     [exec/pool-queue-depth] ({!Alveare_exec.Pool.queue_depth}), the
-    compile-cache gauges ([cache/size], [cache/hit-rate], ...) and the
+    compile-cache gauges ([cache/size], [cache/hits], [cache/misses],
+    [cache/evictions], [cache/hit-rate]), the built-ruleset cache
+    gauges ([ruleset-cache/size], [ruleset-cache/hits],
+    [ruleset-cache/misses], [ruleset-cache/evictions]: at most 8
+    rulesets, each of at most an eighth of the compile cache's capacity
+    in rules; larger ones are built per request and never counted), the
     lazy-DFA overlay cache gauges ([dfa/states-built],
     [dfa/transitions-built], [dfa/hits], [dfa/misses], [dfa/flushes],
     [dfa/bails], [dfa/attempts] — process-wide aggregates from

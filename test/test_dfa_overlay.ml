@@ -321,6 +321,43 @@ let test_finaliser_churn () =
       done;
       check "the overlay ran" true (!last.Dfa.dfa_attempts > 0))
 
+(* --- allocation ---------------------------------------------------------- *)
+
+(* An attempt served by the table allocates nothing: after a warm-up
+   scan has built the transitions, a dense scan of thousands of
+   overlay attempts allocates under 8 minor words per attempt, which
+   leaves room for the matches (option, span, list cell) and the
+   scan's own set-up, not for per-attempt closures or boxed optional
+   arguments. Mixed hex text keeps most attempts short and failing. *)
+let test_attempts_allocation_free () =
+  let c = Compile.compile_exn "[0-9a-f]{35,49}" in
+  let fam = Option.get c.Compile.dfa in
+  let rng = Random.State.make [| 17 |] in
+  let input =
+    String.init 16384 (fun _ ->
+        if Random.State.int rng 24 = 0 then ' '
+        else "0123456789abcdef".[Random.State.int rng 16])
+  in
+  let scan stats =
+    Core.find_all ~stats ~plan:c.Compile.plan ~dfa:fam c.Compile.program input
+  in
+  ignore (scan (Core.fresh_stats ()));
+  let table_attempts () = (Dfa.stats_of (Dfa.get fam)).Dfa.dfa_attempts in
+  let served0 = table_attempts () in
+  let stats = Core.fresh_stats () in
+  let w0 = Gc.minor_words () in
+  let spans = scan stats in
+  let words = Gc.minor_words () -. w0 in
+  let attempts = stats.Core.attempts in
+  check "thousands of attempts" true (attempts >= 2000);
+  check "some matches" true (spans <> []);
+  check "every attempt on the table" true
+    (table_attempts () - served0 = attempts);
+  let per_attempt = words /. Float.of_int attempts in
+  if per_attempt >= 8.0 then
+    Alcotest.failf "%.0f minor words over %d attempts: %.1f per attempt"
+      words attempts per_attempt
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest [ prop_dfa_equals_plan; prop_tiny_budget ]
 
@@ -342,4 +379,7 @@ let () =
           Alcotest.test_case "finite stack bypasses" `Quick
             test_finite_stack_bypasses;
           Alcotest.test_case "engages without a switch" `Quick
-            test_engages_without_switch ] ) ]
+            test_engages_without_switch ] );
+      ( "allocation",
+        [ Alcotest.test_case "attempts on the table allocate nothing" `Quick
+            test_attempts_allocation_free ] ) ]

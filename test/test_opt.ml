@@ -112,7 +112,21 @@ let test_repeat_coalescing () =
   (* different greediness, neither exact: unchanged *)
   (match opt "a*a+?" with
    | Ast.Concat [ Ast.Repeat _; Ast.Repeat _ ] -> ()
-   | other -> Alcotest.failf "a*a+?: %s" (Fmt.str "%a" Ast.pp other))
+   | other -> Alcotest.failf "a*a+?: %s" (Fmt.str "%a" Ast.pp other));
+  (* a variable-width atom does not merge: ([^\n]{2,3}){2,} would end
+     one byte short on ten a's *)
+  let pat = "([^\\n]{2,3})+([^\\n]{2,3})+" in
+  (match opt pat with
+   | Ast.Concat [ Ast.Repeat _; Ast.Repeat _ ] -> ()
+   | other -> Alcotest.failf "%s: %s" pat (Fmt.str "%a" Ast.pp other));
+  List.iter
+    (fun (what, ast) ->
+       match Backtrack.find_all ast (String.make 10 'a') with
+       | [ { Alveare_engine.Semantics.start = 0; stop = 10 } ] -> ()
+       | spans ->
+         Alcotest.failf "%s %s: %d spans, want [0,10)" what pat
+           (List.length spans))
+    [ ("raw", Desugar.pattern_exn pat); ("optimised", opt pat) ]
 
 let test_nest_fusion () =
   same "(x{2}){3} -> x{6}" (opt "(x{2}){3}") (Desugar.pattern_exn "x{6}");

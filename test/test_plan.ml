@@ -317,6 +317,25 @@ let test_arena_bounded_by_depth () =
     Alcotest.failf "scan allocated %.0f MB (max stack depth %d)"
       (allocated /. 1e6) stats.Core.max_stack_depth
 
+(* A scan that attempts nothing pays for no scratch arrays: they come
+   at the first push or controller frame. Most rules of a large set get
+   no candidate in a chunk, so an eager scratch (12 arrays of 64 words)
+   would be most of what such a scan allocates. *)
+let test_scratch_on_first_use () =
+  let c = Compile.compile_exn "ab+c" in
+  let input = String.make 16384 'x' in
+  let scan () =
+    Core.find_all_candidates ~stats:(Core.fresh_stats ()) ~candidates:[||]
+      ~plan:c.Compile.plan ?dfa:c.Compile.dfa c.Compile.program input
+  in
+  ignore (scan ());
+  let w0 = Gc.minor_words () in
+  let spans = scan () in
+  let words = Gc.minor_words () -. w0 in
+  check "no spans" true (spans = []);
+  if words >= 100.0 then
+    Alcotest.failf "a scan with no candidates allocated %.0f minor words" words
+
 (* --- leading-filter table ---------------------------------------------- *)
 
 let test_leading_variants () =
@@ -355,7 +374,9 @@ let () =
         [ Alcotest.test_case "reuse across patterns" `Quick test_scratch_reuse;
           Alcotest.test_case "growth mid-attempt" `Quick test_scratch_growth;
           Alcotest.test_case "arena bounded by depth" `Quick
-            test_arena_bounded_by_depth ] );
+            test_arena_bounded_by_depth;
+          Alcotest.test_case "allocated on first use" `Quick
+            test_scratch_on_first_use ] );
       ( "leading",
         [ Alcotest.test_case "filter variants" `Quick test_leading_variants ] )
     ]

@@ -78,6 +78,16 @@ let direct_spans pattern input =
     List.map (fun (s : Alveare.span) -> (s.Alveare.start, s.Alveare.stop)) spans
   | Error e -> Alcotest.failf "direct compile failed: %s" e
 
+(* Hits of a direct build and scan, in the wire's shape. *)
+let direct_ruleset_hits rules input =
+  List.map
+    (fun (h : Ruleset.hit) ->
+      ( h.Ruleset.hit_rule.Ruleset.id,
+        h.Ruleset.hit_rule.Ruleset.tag,
+        h.Ruleset.span.Alveare_engine.Semantics.start,
+        h.Ruleset.span.Alveare_engine.Semantics.stop ))
+    (Ruleset.scan (Ruleset.compile_exn rules) input).Ruleset.hits
+
 (* --- Basic round trips --------------------------------------------------- *)
 
 let test_health () =
@@ -246,17 +256,7 @@ let test_ruleset_matches_direct () =
     [ ("num", "[0-9]+"); ("word", "[a-z]+"); ("abc", "ab+c"); ("at", "@") ]
   in
   let input = "42 abbbc mail@host 7 xyz" in
-  let direct =
-    let rs = Ruleset.compile_exn rules in
-    let report = Ruleset.scan rs input in
-    List.map
-      (fun (h : Ruleset.hit) ->
-        ( h.Ruleset.hit_rule.Ruleset.id,
-          h.Ruleset.hit_rule.Ruleset.tag,
-          h.Ruleset.span.Alveare_engine.Semantics.start,
-          h.Ruleset.span.Alveare_engine.Semantics.stop ))
-      report.Ruleset.hits
-  in
+  let direct = direct_ruleset_hits rules input in
   with_server (fun _server addr ->
       with_client addr (fun c ->
           (match ok (Client.ruleset_scan c ~rules ~input) with
@@ -487,6 +487,163 @@ let test_service_deadline_direct () =
   | P.Matches { id = 3; spans = [ (0, 1) ]; _ } -> ()
   | r -> fail_resp "live deadline" r
 
+(* --- Built-ruleset cache --------------------------------------------------- *)
+
+let ruleset_request ?(allow_risky = false) ?(id = 1) rules input =
+  P.Ruleset_scan { id; rules; input; deadline_ms = 0; allow_risky }
+
+(* The ruleset-cache gauges of a service, as ints. *)
+let ruleset_cache svc name =
+  match
+    List.assoc_opt ("ruleset-cache/" ^ name)
+      (Metrics.snapshot (Service.metrics svc))
+  with
+  | Some v -> int_of_float v
+  | None -> Alcotest.failf "gauge ruleset-cache/%s missing" name
+
+let cache_rules = [ ("num", "[0-9]+"); ("word", "[a-z]+"); ("abc", "ab+c") ]
+let cache_input = "42 abbbc mail 7 xyz abc 123"
+
+(* A repeated request hits, and answers as the build it reuses; any
+   change to a tag, a pattern or the order of the rules misses. *)
+let test_ruleset_cache_hits () =
+  let svc = Service.create (Metrics.create ()) in
+  let first = Service.handle svc (ruleset_request cache_rules cache_input) in
+  (match first with
+   | P.Ruleset_matches { hits; _ } ->
+     check "first = direct" true
+       (hits = direct_ruleset_hits cache_rules cache_input)
+   | r -> fail_resp "first ruleset scan" r);
+  check_int "first request misses" 1 (ruleset_cache svc "misses");
+  check_int "and is kept" 1 (ruleset_cache svc "size");
+  let second = Service.handle svc (ruleset_request cache_rules cache_input) in
+  check_int "second request hits" 1 (ruleset_cache svc "hits");
+  check "second response = first" true (second = first);
+  let misses_for label rules =
+    let before = ruleset_cache svc "misses" in
+    (match Service.handle svc (ruleset_request rules cache_input) with
+     | P.Ruleset_matches { hits; _ } ->
+       check (label ^ ": = direct") true
+         (hits = direct_ruleset_hits rules cache_input)
+     | r -> fail_resp label r);
+    check_int (label ^ " misses") (before + 1) (ruleset_cache svc "misses")
+  in
+  misses_for "tag changed"
+    [ ("num", "[0-9]+"); ("words", "[a-z]+"); ("abc", "ab+c") ];
+  misses_for "pattern changed"
+    [ ("num", "[0-9]+"); ("word", "[a-y]+"); ("abc", "ab+c") ];
+  misses_for "order changed"
+    [ ("word", "[a-z]+"); ("num", "[0-9]+"); ("abc", "ab+c") ];
+  (* the key cannot be forged by moving bytes between fields *)
+  misses_for "field boundary moved"
+    [ ("nu", "m[0-9]+"); ("word", "[a-z]+"); ("abc", "ab+c") ];
+  check_int "one hit in all" 1 (ruleset_cache svc "hits")
+
+(* A ruleset with a parse error is refused on every request and never
+   kept; one over the admission bound is answered but never kept. *)
+let test_ruleset_cache_refusals () =
+  let svc = Service.create (Metrics.create ()) in
+  let bad = [ ("good", "a"); ("bad", "(") ] in
+  for _ = 1 to 2 do
+    match Service.handle svc (ruleset_request bad "a") with
+    | P.Error { code = P.Parse_error; _ } -> ()
+    | r -> fail_resp "bad ruleset" r
+  done;
+  check_int "bad ruleset never kept" 0 (ruleset_cache svc "size");
+  check_int "and never hit" 0 (ruleset_cache svc "hits");
+  (* a 16-entry compile cache admits rulesets of at most 2 rules *)
+  let small =
+    Service.create
+      ~config:
+        { Service.default_config with
+          Service.cache = Alveare_compiler.Compile.create_cache ~capacity:16 () }
+      (Metrics.create ())
+  in
+  for _ = 1 to 2 do
+    match Service.handle small (ruleset_request cache_rules cache_input) with
+    | P.Ruleset_matches { hits; _ } ->
+      check "oversized ruleset = direct" true
+        (hits = direct_ruleset_hits cache_rules cache_input)
+    | r -> fail_resp "oversized ruleset" r
+  done;
+  check_int "oversized ruleset never kept" 0 (ruleset_cache small "size");
+  check_int "nor looked up" 0
+    (ruleset_cache small "hits" + ruleset_cache small "misses")
+
+(* Nine distinct rulesets: the ninth evicts the least recently used. *)
+let test_ruleset_cache_bound () =
+  let svc = Service.create (Metrics.create ()) in
+  for k = 0 to 8 do
+    let rules = [ ("r", Printf.sprintf "x%dy" k) ] in
+    ignore (Service.handle svc (ruleset_request rules "x1y x8y"))
+  done;
+  check "at most 8 kept" true (ruleset_cache svc "size" <= 8);
+  check "an eviction" true (ruleset_cache svc "evictions" >= 1)
+
+(* A cache hit is no way around the admission gate: a ruleset kept by
+   an [allow_risky] request is refused to a request without it. *)
+let test_ruleset_cache_gate () =
+  let svc = Service.create (Metrics.create ()) in
+  let rules = [ ("ok", "ab+c"); ("redos", "(a+)+b") ] in
+  (match
+     Service.handle svc (ruleset_request ~allow_risky:true rules "aaab abc")
+   with
+   | P.Ruleset_matches _ -> ()
+   | r -> fail_resp "risky ruleset with override" r);
+  (match Service.handle svc (ruleset_request rules "aaab abc") with
+   | P.Error { code = P.Lint_rejected; _ } -> ()
+   | r -> fail_resp "risky ruleset on a cache hit" r);
+  check_int "refused on a hit" 1 (ruleset_cache svc "hits")
+
+(* Two connections scan one standing ruleset at once: every reply
+   equals a scan of a directly compiled ruleset, though the daemon's
+   workers share one cached build. *)
+let test_ruleset_cache_concurrent () =
+  let rules =
+    [ ("num", "[0-9]+"); ("word", "[a-z]+"); ("abc", "ab+c");
+      ("mail", "[a-z]+@[a-z]+"); ("get", "(GET|POST) /[a-z/]*") ]
+  in
+  let rng = Rng.create 0xCAC4E in
+  let inputs =
+    Array.init 6 (fun i ->
+        make_input rng "abc09 @/GETPOST" (700 + (i * 131)))
+  in
+  let expected = Array.map (direct_ruleset_hits rules) inputs in
+  with_server ~workers:2 (fun server addr ->
+      let failures = Array.make 2 None in
+      let body ti () =
+        try
+          with_client addr (fun c ->
+              for round = 0 to 3 do
+                Array.iteri
+                  (fun k input ->
+                    match Client.ruleset_scan c ~rules ~input with
+                    | Ok (P.Ruleset_matches { hits; _ }) ->
+                      if hits <> expected.(k) then
+                        failures.(ti) <-
+                          Some
+                            (Printf.sprintf
+                               "client %d round %d input %d: %d hits, \
+                                expected %d" ti round k (List.length hits)
+                               (List.length expected.(k)))
+                    | Ok r ->
+                      failures.(ti) <-
+                        Some (Fmt.str "client %d: %a" ti P.pp_response r)
+                    | Error e -> failures.(ti) <- Some e)
+                  inputs
+              done)
+        with e -> failures.(ti) <- Some (Printexc.to_string e)
+      in
+      let threads = List.init 2 (fun ti -> Thread.create (body ti) ()) in
+      List.iter Thread.join threads;
+      Array.iter (function Some msg -> Alcotest.fail msg | None -> ()) failures;
+      let gauge name =
+        List.assoc ("ruleset-cache/" ^ name)
+          (Metrics.snapshot (Server.metrics server))
+      in
+      check "the standing ruleset was kept" true (gauge "size" >= 1.0);
+      check "and reused" true (gauge "hits" >= 40.0))
+
 let () =
   Alcotest.run "server"
     [ ( "round-trip",
@@ -518,4 +675,15 @@ let () =
       ( "observability",
         [ Alcotest.test_case "stats reply end to end" `Quick test_stats_reply;
           Alcotest.test_case "Service.handle deadline direct" `Quick
-            test_service_deadline_direct ] ) ]
+            test_service_deadline_direct ] );
+      ( "ruleset-cache",
+        [ Alcotest.test_case "hits, misses and equal replies" `Quick
+            test_ruleset_cache_hits;
+          Alcotest.test_case "parse errors and oversized sets not kept" `Quick
+            test_ruleset_cache_refusals;
+          Alcotest.test_case "bounded at 8 rulesets" `Quick
+            test_ruleset_cache_bound;
+          Alcotest.test_case "gate runs on a hit" `Quick
+            test_ruleset_cache_gate;
+          Alcotest.test_case "two connections, one build" `Quick
+            test_ruleset_cache_concurrent ] ) ]
