@@ -73,11 +73,12 @@ type cache_stats = {
   flushes : int;      (* whole-cache resets on arena overflow *)
   bails : int;        (* attempts handed back to Plan.run *)
   dfa_attempts : int; (* attempts completed entirely on the table *)
+  refused : int;      (* sessions refused: instance held by another caller *)
 }
 
 let zero_stats =
   { states_built = 0; transitions_built = 0; hits = 0; misses = 0;
-    flushes = 0; bails = 0; dfa_attempts = 0 }
+    flushes = 0; bails = 0; dfa_attempts = 0; refused = 0 }
 
 let add_stats a b =
   { states_built = a.states_built + b.states_built;
@@ -86,7 +87,8 @@ let add_stats a b =
     misses = a.misses + b.misses;
     flushes = a.flushes + b.flushes;
     bails = a.bails + b.bails;
-    dfa_attempts = a.dfa_attempts + b.dfa_attempts }
+    dfa_attempts = a.dfa_attempts + b.dfa_attempts;
+    refused = a.refused + b.refused }
 
 (* --- Growable vectors (OCaml 5.1: no Dynarray) -------------------------- *)
 
@@ -263,6 +265,7 @@ type t = {
   mutable c_flushes : int;
   mutable c_bails : int;
   mutable c_attempts : int;
+  mutable c_refused : int;
 }
 
 and family = {
@@ -323,7 +326,7 @@ let plan_of fam = fam.fplan
 let stats_of (t : t) =
   { states_built = t.c_states; transitions_built = t.c_trans;
     hits = t.c_hits; misses = t.c_misses; flushes = t.c_flushes;
-    bails = t.c_bails; dfa_attempts = t.c_attempts }
+    bails = t.c_bails; dfa_attempts = t.c_attempts; refused = t.c_refused }
 
 (* With [fmu] held: drop collected members, and fold into [retired] the
    graveyard entries of instances no longer among them. An entry whose
@@ -423,7 +426,7 @@ let create_instance fam =
           r_ckp = 0; r_ckpk = 0; r_fi = 0; r_fr = 0; r_fp = 0; r_fpk = 0 };
       mu = Mutex.create ();
       c_states = 0; c_trans = 0; c_hits = 0; c_misses = 0;
-      c_flushes = 0; c_bails = 0; c_attempts = 0 }
+      c_flushes = 0; c_bails = 0; c_attempts = 0; c_refused = 0 }
   in
   ignore (intern_state t state0);
   let w = Weak.create 1 in
@@ -895,9 +898,15 @@ let run_dfa t (stats : Machine.stats) (input : string) (start : int) : int =
 let acquire t ~config =
   (* A configured stack capacity must raise the plan path's exact
      Stack_overflow, so such configs stay off the table entirely. A
-     held lock means another sys-thread of this domain is using the
-     table: identical results either way, so don't wait. *)
-  config.Machine.stack_capacity = None && Mutex.try_lock t.mu
+     held lock means another caller of this domain is using the table:
+     identical results either way, so don't wait, but count the
+     refusal. *)
+  config.Machine.stack_capacity = None
+  && (Mutex.try_lock t.mu
+      || begin
+        t.c_refused <- t.c_refused + 1;
+        false
+      end)
 
 let release t = Mutex.unlock t.mu
 

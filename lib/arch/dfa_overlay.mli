@@ -79,9 +79,11 @@ val run :
 val acquire : t -> config:Machine.config -> bool
 (** Try to reserve the table for a scan. [false] — leaving the caller
     on the plan path — when the config has a finite [stack_capacity]
-    (overflow must raise the plan path's exact error) or another
-    sys-thread of this domain holds the instance (identical results
-    either way, so never wait). *)
+    (overflow must raise the plan path's exact error), or when another
+    caller of this domain holds the instance: another sys-thread, or a
+    session the calling thread still has open. Results are identical
+    either way, so never wait; the second refusal is counted in
+    [cache_stats.refused]. *)
 
 val release : t -> unit
 (** End a successful {!acquire}. *)
@@ -104,6 +106,10 @@ type cache_stats = {
   flushes : int;       (** whole-cache resets on arena overflow *)
   bails : int;         (** attempts handed back to {!Plan.run} *)
   dfa_attempts : int;  (** attempts completed entirely on the table *)
+  refused : int;
+      (** {!acquire}s refused because another caller of the domain held
+          the instance (the finite-[stack_capacity] refusal, which is
+          by design, is not counted) *)
 }
 
 val zero_stats : cache_stats

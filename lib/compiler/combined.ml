@@ -20,6 +20,15 @@
      is in the first set" is precisely what the per-rule prefilter skip
      loop enumerates, so every counter charge lands identically.
 
+   Rules that share one compilation (the same physical
+   [Compile.compiled], which [Ruleset.compile] gives every rule listing
+   the same pattern) form a group, and the sweep does a group's work
+   once: one cursor and one dispatch slot per first-set group, one
+   candidate bucket per AC-covered group. A group's scan is a function
+   of its compilation and the input alone, so every rule of the group
+   gets the same outcome; [scan] still returns one per rule. The
+   grouping is defined here only ({!representative}).
+
    Everything else (anchored, nullable, no-first-set, derivative
    backend) is left to the caller's residual per-rule path. The hits,
    spans, and every per-rule stats counter are bit-identical to a
@@ -47,15 +56,36 @@ type ac_index = {
 
 type t = {
   rules : Compile.compiled array;
+  rep : int array;  (* rule -> the first rule of its group *)
   klass : klass array;
   dispatch : int array array;
-      (* byte -> K_first rule indices (ascending) whose first set
-         contains it; merged from the per-rule first bitmaps *)
-  ac : ac_index option;
+      (* byte -> K_first group representatives (ascending) whose first
+         set contains it; merged from the per-rule first bitmaps *)
+  ac : ac_index option;  (* refs name group representatives only *)
 }
+
+(* The pattern source only narrows the search: rules group by physical
+   equality of their compilation. *)
+let representatives (rules : Compile.compiled array) : int array =
+  let firsts = Hashtbl.create 16 in
+  Array.mapi
+    (fun i (c : Compile.compiled) ->
+       match
+         List.find_opt
+           (fun j -> rules.(j) == c)
+           (Hashtbl.find_all firsts c.Compile.pattern)
+       with
+       | Some j -> j
+       | None ->
+         Hashtbl.add firsts c.Compile.pattern i;
+         i)
+    rules
+
+let representative t i = t.rep.(i)
 
 let build ~(rules : Compile.compiled array)
     ~(ac : (Ac.t * (int * int) array * bool array) option) : t =
+  let rep = representatives rules in
   let covered i =
     match ac with Some (_, _, cov) -> cov.(i) | None -> false
   in
@@ -74,7 +104,7 @@ let build ~(rules : Compile.compiled array)
   in
   let dispatch_l = Array.make 256 [] in
   for i = Array.length rules - 1 downto 0 do
-    if klass.(i) = K_first then begin
+    if klass.(i) = K_first && rep.(i) = i then begin
       let pf = rules.(i).Compile.prefilter in
       for b = 0 to 255 do
         if Pf.mem_first pf (Char.chr b) then
@@ -83,9 +113,15 @@ let build ~(rules : Compile.compiled array)
     end
   done;
   { rules;
+    rep;
     klass;
     dispatch = Array.map Array.of_list dispatch_l;
-    ac = Option.map (fun (a, r, _) -> { ai_ac = a; ai_refs = r }) ac }
+    ac =
+      Option.map
+        (fun (a, refs, _) ->
+           { ai_ac = a;
+             ai_refs = Array.map (fun (i, off) -> (rep.(i), off)) refs })
+        ac }
 
 (* --- Scan counters (server gauges) -------------------------------------- *)
 
@@ -130,12 +166,13 @@ type outcome =
   | Residual
       (* untouched by the sweep: caller's per-rule path *)
 
-(* Every K_first rule drives one [Scan_cursor] over the whole input:
-   the sweep offers it each position whose byte is in the rule's first
+(* Every K_first group drives one [Scan_cursor] over the whole input:
+   the sweep offers it each position whose byte is in the group's first
    set, in ascending order, which is exactly the candidate stream
    [Core]'s prefilter source enumerates — so every counter charge lands
-   identically. Each candidate is attempted at once, on the rule's
-   overlay session when the cursor holds one. *)
+   identically. Each candidate is attempted at once, on the group's
+   overlay session when the cursor holds one; no two cursors of a
+   sweep share a family, so none is refused for another's session. *)
 let scan (t : t) (input : string) : outcome array =
   let n = String.length input in
   let nr = Array.length t.rules in
@@ -147,7 +184,7 @@ let scan (t : t) (input : string) : outcome array =
   @@ fun () ->
   Array.iteri
     (fun i (c : Compile.compiled) ->
-       if t.klass.(i) = K_first then begin
+       if t.klass.(i) = K_first && t.rep.(i) = i then begin
          let stats = Core.fresh_stats () in
          let cur =
            Scan_cursor.start ~dfa:c.Compile.dfa ~config:Core.default_config
@@ -193,25 +230,32 @@ let scan (t : t) (input : string) : outcome array =
     done
   done;
   let sessions = ref 0 and session_attempts = ref 0 and states = ref 0 in
-  let outcomes =
-    Array.mapi
-      (fun i cursor ->
-         match cursor with
-         | Some (stats, cur, states0) ->
-           (match Scan_cursor.session cur with
-            | Some d ->
-              incr sessions;
-              session_attempts := !session_attempts + stats.Core.attempts;
-              states :=
-                !states + (Dfa.stats_of d).Dfa.states_built - states0
-            | None -> ());
-           Scanned (stats, Scan_cursor.finish cur)
-         | None ->
-           if t.klass.(i) = K_ac then
-             Candidates (Array.of_list (List.sort_uniq compare buckets.(i)))
-           else Residual)
-      cursors
-  in
+  let outcomes = Array.make nr Residual in
+  Array.iteri
+    (fun i cursor ->
+       outcomes.(i) <-
+         (match cursor with
+          | Some (stats, cur, states0) ->
+            (match Scan_cursor.session cur with
+             | Some d ->
+               incr sessions;
+               session_attempts := !session_attempts + stats.Core.attempts;
+               states :=
+                 !states + (Dfa.stats_of d).Dfa.states_built - states0
+             | None -> ());
+            Scanned (stats, Scan_cursor.finish cur)
+          | None when t.rep.(i) < i ->
+            (* a later rule of a group: its first rule's outcome, with
+               a stats record of its own *)
+            (match outcomes.(t.rep.(i)) with
+             | Scanned (s, spans) ->
+               Scanned ({ s with Core.cycles = s.Core.cycles }, spans)
+             | (Candidates _ | Residual) as o -> o)
+          | None ->
+            if t.klass.(i) = K_ac then
+              Candidates (Array.of_list (List.sort_uniq compare buckets.(i)))
+            else Residual))
+    cursors;
   Atomic.incr c_scans;
   atomic_add c_bytes n;
   atomic_add c_dispatch !disp_count;

@@ -2,11 +2,14 @@
 
     Compiles a whole ruleset's scan-side machinery into one shared
     sweep: the Aho-Corasick literal automaton and every non-covered
-    rule's first-set dispatch run over the input ONCE. Each dispatched
-    rule drives its own {!Alveare_arch.Scan_cursor} — the scan-loop
-    body {!Alveare_arch.Core} uses — which attempts every first-set
-    candidate at once, on the rule's lazy-DFA overlay session whenever
-    the rule has a family and the session can be taken. Spans and every
+    rule's first-set dispatch run over the input ONCE. Rules sharing
+    one compilation form a group ({!representative}) whose work is
+    done once: each dispatched group drives one
+    {!Alveare_arch.Scan_cursor} — the scan-loop body
+    {!Alveare_arch.Core} uses — which attempts every first-set
+    candidate at once, on the group's lazy-DFA overlay session whenever
+    the compilation has a family and the session can be taken, and
+    each covered group fills one candidate bucket. Spans and every
     per-rule stats counter are bit-identical to a per-rule scan; the
     fused-sweep differential battery pins this against the per-rule
     reference in the test support library.
@@ -29,7 +32,15 @@ val build :
 (** [build ~rules ~ac] classifies each rule and merges the dispatch
     table. [ac] is the ruleset's literal index — the automaton, the
     pattern-to-(rule, literal offset) references, and the per-rule
-    covered flags — or [None] when no rule has usable literals. *)
+    covered flags — or [None] when no rule has usable literals. A
+    reference to a later rule of a group counts for the group's first
+    rule. *)
+
+val representative : t -> int -> int
+(** [representative t i]: the first rule of rule [i]'s group — the
+    lowest index whose compilation is physically the same value as rule
+    [i]'s; [i] itself for a group's first rule. The one definition of
+    the grouping. *)
 
 (** Per-rule result of one fused sweep. *)
 type outcome =
@@ -44,9 +55,12 @@ type outcome =
           rules stay on the caller's per-rule path *)
 
 val scan : t -> string -> outcome array
-(** One streaming pass over the input. A first-set rule attempts on its
-    overlay session when its compilation carries a family and the
-    calling domain's instance is free, and on {!Alveare_arch.Plan.run}
+(** One streaming pass over the input; one outcome per rule, in rule
+    order. Every rule of a group gets its group's outcome (a [Scanned]
+    one with its own stats record), which is the outcome a scan of that
+    rule alone would give. A first-set group attempts on its overlay
+    session when its compilation carries a family and the calling
+    domain's instance is free, and on {!Alveare_arch.Plan.run}
     otherwise, with identical results. Runs entirely on the calling
     domain. *)
 
@@ -60,10 +74,11 @@ val scan : t -> string -> outcome array
 type counters = {
   onepass_scans : int;        (** fused sweeps run *)
   shared_pass_bytes : int;    (** input bytes swept *)
-  dispatch_candidates : int;  (** first-set dispatch deliveries *)
+  dispatch_candidates : int;
+      (** first-set dispatch deliveries, one per group and position *)
   ac_candidates : int;        (** candidate bucket entries collected *)
   product_rules : int;
-      (** first-set rules that held an overlay session in a sweep *)
+      (** first-set groups that held an overlay session in a sweep *)
   product_threads : int;      (** sweep attempts run on an overlay session *)
   product_states : int;
       (** overlay states those sessions built during sweeps *)

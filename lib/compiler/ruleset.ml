@@ -1,8 +1,9 @@
 (* Rule-set management: the deployment unit of DPI engines like Snort
-   (paper §7.2) is not one RE but hundreds. A ruleset compiles each rule
-   once, keeps per-rule binaries and metadata, and scans a stream
-   through every rule on the simulated DSA — the paper's model, where
-   cores share one compiled RE and iterate the rule set per stream.
+   (paper §7.2) is not one RE but hundreds. A ruleset compiles each
+   distinct pattern once, keeps per-rule binaries and metadata, and
+   scans a stream through every rule on the simulated DSA — the paper's
+   model, where cores share one compiled RE and iterate the rule set per
+   stream.
 
    Compilation is all-or-error-list: a production rule set wants to know
    every ill-formed rule, not just the first. *)
@@ -103,23 +104,27 @@ let candidates_by_rule_sliced ?workers idx input n_rules ~slices =
 let compile ?(options = Alveare_ir.Lower.default_options) ?cache ?workers
     ?extended (specs : (string * string) list)
   : (t, compile_error list) result =
-  (* Rules compile independently, so the host pool fans them out; the
-     shared compile cache (thread-safe) deduplicates repeated patterns
-     across rules and across rulesets. *)
+  (* Each distinct pattern compiles once, over the host pool, and every
+     rule listing it shares that one compilation — so the sweep scans
+     it once ({!Combined.representative}). The compile cache
+     (thread-safe) deduplicates patterns across rulesets. *)
+  let patterns = List.sort_uniq String.compare (List.map snd specs) in
+  let by_pattern = Hashtbl.create (List.length patterns) in
+  List.iter2 (Hashtbl.add by_pattern) patterns
+    (Alveare_exec.Pool.map_list ?workers
+       (fun pattern ->
+          match Compile.cached ?cache ~options ?extended pattern with
+          | Ok c -> Ok (c, Multicore.overlap_for_ast c.Compile.ast)
+          | Error e -> Error (Compile.error_message e))
+       patterns);
   let results =
-    Alveare_exec.Pool.map_list ?workers
-      (fun (id, (tag, pattern)) ->
+    List.mapi
+      (fun id (tag, pattern) ->
          let rule = { id; tag; pattern } in
-         match Compile.cached ?cache ~options ?extended pattern with
-         | Ok compiled ->
-           Ok
-             { rule;
-               compiled;
-               overlap =
-                 Multicore.overlap_for_ast compiled.Compile.ast }
-         | Error e ->
-           Error { failed_rule = rule; reason = Compile.error_message e })
-      (List.mapi (fun id spec -> (id, spec)) specs)
+         match Hashtbl.find by_pattern pattern with
+         | Ok (compiled, overlap) -> Ok { rule; compiled; overlap }
+         | Error reason -> Error { failed_rule = rule; reason })
+      specs
   in
   let failures =
     List.filter_map (function Error e -> Some e | Ok _ -> None) results
@@ -243,7 +248,7 @@ let scan_covered_multicore ~cores (r : compiled_rule)
     Array.fold_left (fun acc (_, s) -> max acc s.Core.cycles) 0 per_core
   in
   let sum f = Array.fold_left (fun acc (_, s) -> acc + f s) 0 per_core in
-  ( r.rule, cycles, matches,
+  ( cycles, matches,
     ( sum (fun s -> s.Core.attempts),
       sum (fun s -> s.Core.offsets_scanned),
       sum (fun s -> s.Core.offsets_pruned) ),
@@ -257,9 +262,15 @@ let scan_covered_multicore ~cores (r : compiled_rule)
    results are folded back in rule order, so hits and cycle accounting
    are identical to the sequential scan.
 
+   The host scans each group of rules sharing one compilation
+   ({!Combined.representative}) once: a rule's result is a function of
+   its compilation and the input alone, so every rule of the group
+   takes the group's result under its own id and tag. The modelled
+   accounting still loads and runs every rule.
+
    With [prefilter] (the default) single-core scans run the fused
    {!Combined} sweep: ONE pass walks the AC automaton and dispatches
-   first-set candidates into per-rule scan cursors; AC-covered rules
+   first-set candidates into per-group scan cursors; AC-covered groups
    then attempt only at their candidate offsets. Multi-core scans slice
    the AC pass across workers instead, and every other rule scans with
    its first-set skip loop. Hits are identical to the unfiltered scan
@@ -280,64 +291,72 @@ let scan ?(cores = 1) ?workers ?(prefilter = true) (t : t) (input : string)
           else Combined.Residual
       | Some _ | None -> fun _ -> Combined.Residual
   in
-  let per_rule_results =
+  let group = Combined.representative t.fused in
+  let scan_group i r =
+    let from_candidates cands =
+      if cores = 1 then begin
+        let stats = Core.fresh_stats () in
+        let matches =
+          Core.find_all_candidates ~stats ~candidates:cands
+            ~plan:r.compiled.Compile.plan ?dfa:r.compiled.Compile.dfa
+            r.compiled.Compile.program input
+        in
+        ( stats.Core.cycles, matches,
+          (stats.Core.attempts, stats.Core.offsets_scanned,
+           stats.Core.offsets_pruned),
+          true )
+      end
+      else scan_covered_multicore ~cores r cands input
+    in
+    let residual () =
+      let config = Multicore.config ~cores ~overlap:r.overlap () in
+      let pf = if prefilter then Some r.compiled.Compile.prefilter else None in
+      let result =
+        Multicore.run ?prefilter:pf ~plan:r.compiled.Compile.plan
+          ?dfa:r.compiled.Compile.dfa ~config r.compiled.Compile.program input
+      in
+      let sum f =
+        Array.fold_left
+          (fun acc c -> acc + f c.Multicore.stats)
+          0 result.Multicore.per_core
+      in
+      ( result.Multicore.cycles, result.Multicore.matches,
+        ( sum (fun s -> s.Core.attempts),
+          sum (fun s -> s.Core.offsets_scanned),
+          sum (fun s -> s.Core.offsets_pruned) ),
+        false )
+    in
+    match r.compiled.Compile.backend with
+    | Compile.Derivative eng ->
+      (* extended rules the mid-end could not rewrite run on the host
+         derivative engine, outside the DSA cycle model: they
+         contribute hits but no modelled cycles or attempt counters
+         (they are never AC-covered — extended patterns yield no usable
+         literals) *)
+      (0, Alveare_derivative.Engine.find_all eng input, (0, 0, 0), false)
+    | Compile.Isa | Compile.Isa_lowered ->
+      (match outcome i with
+       | Combined.Scanned (stats, matches) ->
+         ( stats.Core.cycles, matches,
+           (stats.Core.attempts, stats.Core.offsets_scanned,
+            stats.Core.offsets_pruned),
+           false )
+       | Combined.Candidates cands -> from_candidates cands
+       | Combined.Residual -> residual ())
+  in
+  let group_results =
     Alveare_exec.Pool.map ?workers
-      (fun (i, r) ->
-         let from_candidates cands =
-           if cores = 1 then begin
-             let stats = Core.fresh_stats () in
-             let matches =
-               Core.find_all_candidates ~stats ~candidates:cands
-                 ~plan:r.compiled.Compile.plan ?dfa:r.compiled.Compile.dfa
-                 r.compiled.Compile.program input
-             in
-             ( r.rule, stats.Core.cycles, matches,
-               (stats.Core.attempts, stats.Core.offsets_scanned,
-                stats.Core.offsets_pruned),
-               true )
-           end
-           else scan_covered_multicore ~cores r cands input
-         in
-         let residual () =
-           let config = Multicore.config ~cores ~overlap:r.overlap () in
-           let pf =
-             if prefilter then Some r.compiled.Compile.prefilter else None
-           in
-           let result =
-             Multicore.run ?prefilter:pf ~plan:r.compiled.Compile.plan
-               ?dfa:r.compiled.Compile.dfa ~config r.compiled.Compile.program
-               input
-           in
-           let sum f =
-             Array.fold_left
-               (fun acc c -> acc + f c.Multicore.stats)
-               0 result.Multicore.per_core
-           in
-           ( r.rule, result.Multicore.cycles, result.Multicore.matches,
-             ( sum (fun s -> s.Core.attempts),
-               sum (fun s -> s.Core.offsets_scanned),
-               sum (fun s -> s.Core.offsets_pruned) ),
-             false )
-         in
-         match r.compiled.Compile.backend with
-         | Compile.Derivative eng ->
-           (* extended rules the mid-end could not rewrite run on the
-              host derivative engine, outside the DSA cycle model:
-              they contribute hits but no modelled cycles or attempt
-              counters (they are never AC-covered — extended patterns
-              yield no usable literals) *)
-           ( r.rule, 0, Alveare_derivative.Engine.find_all eng input,
-             (0, 0, 0), false )
-         | Compile.Isa | Compile.Isa_lowered ->
-           (match outcome i with
-            | Combined.Scanned (stats, matches) ->
-              ( r.rule, stats.Core.cycles, matches,
-                (stats.Core.attempts, stats.Core.offsets_scanned,
-                 stats.Core.offsets_pruned),
-                false )
-            | Combined.Candidates cands -> from_candidates cands
-            | Combined.Residual -> residual ()))
+      (fun (i, r) -> if group i = i then Some (scan_group i r) else None)
       (Array.mapi (fun i r -> (i, r)) t.rules)
+  in
+  let per_rule_results =
+    Array.mapi
+      (fun i r ->
+         match group_results.(group i) with
+         | Some (cycles, matches, counters, ac) ->
+           (r.rule, cycles, matches, counters, ac)
+         | None -> assert false)
+      t.rules
   in
   let hits =
     Array.to_list per_rule_results

@@ -45,13 +45,17 @@ val compile :
   ?extended:bool ->
   (string * string) list ->
   (t, compile_error list) result
-(** [(tag, pattern)] pairs; reports EVERY ill-formed rule. Compilation
-    goes through {!Compile.cached} (default: the shared
-    {!Compile.default_cache}), so repeated patterns compile once;
-    [workers] fans independent rule compilations out over host domains.
-    [extended] (default false) parses the extended dialect — rules the
-    mid-end cannot rewrite for the ISA scan on the host derivative
-    engine (hits identical in {!scan}; no modelled DSA cycles). *)
+(** [(tag, pattern)] pairs; reports EVERY ill-formed rule, once per
+    rule listing its pattern, in rule order. Each distinct pattern is
+    looked up once in {!Compile.cached} (default: the shared
+    {!Compile.default_cache}), and every rule listing it gets that same
+    physical compilation and multi-core overlap — which is what makes
+    {!scan} scan it once; [workers] fans the distinct compilations out
+    over host domains. [rules] still holds one entry per rule, with its
+    own id and tag. [extended] (default false) parses the extended
+    dialect — rules the mid-end cannot rewrite for the ISA scan on the
+    host derivative engine (hits identical in {!scan}; no modelled DSA
+    cycles). *)
 
 val compile_exn :
   ?options:Alveare_ir.Lower.options ->
@@ -99,6 +103,14 @@ val scan :
     simulation of the independent per-rule runs ({!Alveare_exec.Pool});
     the report — hits, per-rule cycles, modelled seconds — is identical
     to the sequential scan for any value.
+
+    The host scans each distinct pattern once, however many rules list
+    it ({!Combined.representative}), and gives every such rule the
+    group's spans, cycles and counters under its own id and tag. The
+    report is still the rule-by-rule one: the modelled DSA loads and
+    runs every rule, so hits, cycles, seconds (one dispatch per rule),
+    per-rule cycles, attempt and offset totals and [prefiltered_rules]
+    count every rule.
 
     [prefilter] (default [true]): single-core scans run the fused
     {!Combined} engine — one shared sweep walking the literal automaton

@@ -93,6 +93,8 @@ let create ?(config = default_config) metrics =
   Metrics.register_gauge metrics "dfa/bails" (dfa_stat (fun s -> s.D.bails));
   Metrics.register_gauge metrics "dfa/attempts"
     (dfa_stat (fun s -> s.D.dfa_attempts));
+  Metrics.register_gauge metrics "dfa/refused"
+    (dfa_stat (fun s -> s.D.refused));
   (* Fused one-pass ruleset scan counters, process-wide over every
      combined sweep. *)
   let onepass_stat f =

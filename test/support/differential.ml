@@ -363,10 +363,10 @@ module Ruleset = Alveare_compiler.Ruleset
    held against the reference with the overlay on and off (the off
    reference pins plain-plan attempts), and its hits additionally
    against the unfiltered scan (ground truth) at every core count in
-   [cores]. *)
-let check_onepass_case ?(cores = [ 1; 4 ]) (specs : (string * string) list)
-    (input : string) : failure list =
-  match Ruleset.compile specs with
+   [cores]. [extended] parses the rules in the extended dialect. *)
+let check_onepass_case ?(cores = [ 1; 4 ]) ?extended
+    (specs : (string * string) list) (input : string) : failure list =
+  match Ruleset.compile ?extended specs with
   | Error _ -> [] (* ill-formed rule: compile-error reporting, not scan *)
   | Ok rs ->
     let failures = ref [] in

@@ -91,6 +91,23 @@ let gen_ast_and_input : (Ast.t * string) QCheck2.Gen.t =
   in
   return (ast, input)
 
+(* The differential properties scan a drawn input with backtracking
+   engines (the oracle, the simulator), which can run for minutes on a
+   pattern the ambiguity analysis proves exponential. Such a pattern is
+   scanned over the first [exponential_input_cap] bytes of its input
+   only. The properties truncate after drawing (and after any doubling),
+   so a seed draws the same cases as without the cap, and a failure
+   report prints the drawn input, of which this prefix was scanned. *)
+let exponential_input_cap = 12
+
+let cap_exponential (ast : Ast.t) (input : string) : string =
+  let module A = Alveare_analysis.Ambiguity in
+  if String.length input <= exponential_input_cap then input
+  else
+    match (A.analyze (Spanned.of_ast ast)).A.verdict with
+    | A.Exponential -> String.sub input 0 exponential_input_cap
+    | A.Linear | A.Polynomial _ -> input
+
 (* --- Extended-dialect generators (intersection / complement /
    lookarounds) ----------------------------------------------------------
 

@@ -162,6 +162,7 @@ let diff_sim_oracle =
     ~print:Gen_ast.print_ast_and_input Gen_ast.gen_ast_and_input
     (fun (ast, input) ->
       let ast = Desugar.normalize ast in
+      let input = Gen_ast.cap_exponential ast input in
       match Compile.compile_ast ast with
       | Error _ -> QCheck2.assume_fail ()
       | Ok c ->
@@ -172,6 +173,7 @@ let diff_sim_oracle_minimal =
     ~count:300 ~print:Gen_ast.print_ast_and_input Gen_ast.gen_ast_and_input
     (fun (ast, input) ->
       let ast = Desugar.normalize ast in
+      let input = Gen_ast.cap_exponential ast input in
       match Compile.compile_ast ~options:Alveare_ir.Lower.minimal_options ast with
       | Error _ -> QCheck2.assume_fail ()
       | Ok c ->

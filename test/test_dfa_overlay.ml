@@ -264,6 +264,43 @@ let test_engages_without_switch () =
   check "Alveare.find_all" true
     (served_by_table (fun () -> ignore (Alveare.find_all pattern input)))
 
+(* A scan that finds its family's instance held — here by a session the
+   same thread still has open — is refused: counted once, and run on
+   the plan path with the plan path's spans and stats. *)
+let test_refusal_counted () =
+  let c = Compile.compile_exn "ab+c" in
+  let fam = Option.get c.Compile.dfa in
+  let d = Dfa.get fam in
+  check "session taken" true (Dfa.acquire d ~config:Core.default_config);
+  Fun.protect ~finally:(fun () -> Dfa.release d) (fun () ->
+      let before = Dfa.family_stats fam in
+      scan_agrees "refused" fam (fun ~stats ~dfa ->
+          Core.find_all ~stats ?dfa ~plan:c.Compile.plan c.Compile.program
+            "xxabbcyyabczz");
+      let after = Dfa.family_stats fam in
+      Alcotest.(check int) "one refusal" (before.Dfa.refused + 1)
+        after.Dfa.refused;
+      check "no attempt on the table" true
+        (after.Dfa.dfa_attempts = before.Dfa.dfa_attempts))
+
+(* A ruleset listing a first-set pattern twice scans it with one cursor,
+   so no cursor of the sweep is refused the family's instance. *)
+let test_repeated_rule_not_refused () =
+  let module Ruleset = Alveare_compiler.Ruleset in
+  let pattern = "[a-z]{2,5}x" in
+  let rs =
+    Ruleset.compile_exn ~cache:(Compile.create_cache ())
+      [ ("a", pattern); ("b", pattern) ]
+  in
+  let fam = Option.get rs.Ruleset.rules.(0).Ruleset.compiled.Compile.dfa in
+  let before = Dfa.family_stats fam in
+  let report = Ruleset.scan rs "aax then zzzzx, qrx and abcdex" in
+  let after = Dfa.family_stats fam in
+  check "both rules hit" true (List.length report.Ruleset.hits = 8);
+  check "attempts on the table" true
+    (after.Dfa.dfa_attempts > before.Dfa.dfa_attempts);
+  Alcotest.(check int) "no refusal" before.Dfa.refused after.Dfa.refused
+
 (* The overlay finaliser runs inside whatever allocation the GC picks,
    possibly on a thread holding a family mutex. Past 128 families a
    domain drops its instance table, so every scan of a 600-rule set
@@ -301,6 +338,7 @@ let test_finaliser_churn () =
     b.states_built >= a.states_built && b.transitions_built >= a.transitions_built
     && b.hits >= a.hits && b.misses >= a.misses && b.flushes >= a.flushes
     && b.bails >= a.bails && b.dfa_attempts >= a.dfa_attempts
+    && b.refused >= a.refused
   in
   let gc = Gc.get () in
   Gc.set { gc with Gc.minor_heap_size = 4096 };
@@ -379,7 +417,11 @@ let () =
           Alcotest.test_case "finite stack bypasses" `Quick
             test_finite_stack_bypasses;
           Alcotest.test_case "engages without a switch" `Quick
-            test_engages_without_switch ] );
+            test_engages_without_switch;
+          Alcotest.test_case "held instance refuses, counted" `Quick
+            test_refusal_counted;
+          Alcotest.test_case "repeated rule never refused" `Quick
+            test_repeated_rule_not_refused ] );
       ( "allocation",
         [ Alcotest.test_case "attempts on the table allocate nothing" `Quick
             test_attempts_allocation_free ] ) ]

@@ -7,12 +7,14 @@
 
 module Ruleset = Alveare_compiler.Ruleset
 module Combined = Alveare_compiler.Combined
+module Compile = Alveare_compiler.Compile
+module Cache = Alveare_exec.Cache
 module Dfa = Alveare_arch.Dfa_overlay
 module D = Alveare_test_support.Differential
 module Gen = Alveare_test_support.Gen_ast
 
-let check ?cores specs input =
-  match D.check_onepass_case ?cores specs input with
+let check ?cores ?extended specs input =
+  match D.check_onepass_case ?cores ?extended specs input with
   | [] -> ()
   | fs ->
     List.iter (fun f -> Fmt.epr "%a@." D.pp_failure f) fs;
@@ -81,6 +83,69 @@ let test_long_letter_run () =
   Alcotest.(check bool) "overlay table hits" true
     ((Dfa.global_stats ()).Dfa.hits > hits)
 
+(* Every rule class listed twice under distinct tags. The copies share
+   one compilation and one scan (see Combined), yet each must keep the
+   report rows of a rule-by-rule scan: its own hits, cycles and
+   counters. The AC-covered duplicate is in [mixed_specs]. *)
+let test_repeated_rules () =
+  let p = "[a-z]{2,5}x" in
+  check [ ("first", p); ("digits", "[0-9]{2,6}"); ("first-again", p) ] letters;
+  check [ ("anchored", "^foo"); ("anchored-again", "^foo") ] "foo bar foo";
+  check
+    [ ("nullable", "a*"); ("lit", "alert"); ("nullable-again", "a*") ]
+    "aa alert a";
+  let deriv = "[0-9a-f]{7,10}&(?~.*[g-z].*)" in
+  (match Ruleset.compile ~extended:true [ ("deriv", deriv) ] with
+   | Ok rs ->
+     (match rs.Ruleset.rules.(0).Ruleset.compiled.Compile.backend with
+      | Compile.Derivative _ -> ()
+      | Compile.Isa | Compile.Isa_lowered ->
+        Alcotest.fail "expected a derivative-backed rule")
+   | Error _ -> Alcotest.fail "extended rule failed to compile");
+  check ~extended:true
+    [ ("deriv", deriv); ("lit", "cafe"); ("deriv-again", deriv) ]
+    "id 0badcafe, 12345678 and deadbeef9 or cafe00x"
+
+(* Host work is per distinct pattern, not per rule: a pattern listed
+   twice is looked up in the compile cache once, and the sweep
+   dispatches its first-set candidates once. *)
+let test_repeat_compiles_once () =
+  let cache = Compile.create_cache () in
+  let p = "[a-z]{2,5}x" in
+  ignore (Ruleset.compile_exn ~cache [ ("a", p); ("b", p) ]);
+  let s = Compile.cache_stats cache in
+  Alcotest.(check int) "one compile-cache lookup" 1
+    (s.Cache.hits + s.Cache.misses)
+
+let test_repeat_dispatches_once () =
+  let dispatched specs =
+    let rs = Ruleset.compile_exn specs in
+    let before = (Combined.counters ()).Combined.dispatch_candidates in
+    ignore (Ruleset.scan rs letters);
+    (Combined.counters ()).Combined.dispatch_candidates - before
+  in
+  let p = "[a-z]{2,5}x" in
+  Alcotest.(check int) "dispatch deliveries"
+    (dispatched [ ("a", p) ])
+    (dispatched [ ("a", p); ("b", p) ])
+
+(* A pattern that fails to compile is reported once per rule listing
+   it, in rule order, each with its own tag. *)
+let test_repeated_compile_error () =
+  match Ruleset.compile [ ("a", "(ab"); ("ok", "abc"); ("b", "(ab") ] with
+  | Ok _ -> Alcotest.fail "expected compile errors"
+  | Error es ->
+    Alcotest.(check (list (pair int string))) "failed rules"
+      [ (0, "a"); (2, "b") ]
+      (List.map
+         (fun (e : Ruleset.compile_error) ->
+            (e.Ruleset.failed_rule.Ruleset.id, e.Ruleset.failed_rule.Ruleset.tag))
+         es);
+    Alcotest.(check int) "one reason" 1
+      (List.length
+         (List.sort_uniq compare
+            (List.map (fun (e : Ruleset.compile_error) -> e.Ruleset.reason) es)))
+
 let test_counters_monotone () =
   let before = Combined.counters () in
   let rs = Ruleset.compile_exn mixed_specs in
@@ -94,7 +159,8 @@ let test_counters_monotone () =
 
 (* Random rulesets: a handful of random ASTs over the small alphabet,
    plus fixed overlapping literals so the AC and dispatch layers always
-   coexist; input carries witnesses so the sweep resolves real hits. *)
+   coexist, and one drawn rule repeated under a second tag; input
+   carries witnesses so the sweep resolves real hits. *)
 let gen_ruleset_case : ((string * string) list * string) QCheck2.Gen.t =
   let open QCheck2.Gen in
   let* n = int_range 2 5 in
@@ -106,11 +172,16 @@ let gen_ruleset_case : ((string * string) list * string) QCheck2.Gen.t =
             oneof [ Gen.gen_input; Gen.gen_input_with_witness ast ])
          asts)
   in
-  let specs =
+  let* again = int_bound (n - 1) in
+  let drawn =
     List.mapi
       (fun i ast -> (Fmt.str "r%d" i, Alveare_frontend.Ast.to_pattern ast))
       asts
-    @ [ ("lit-a", "abc"); ("lit-b", "abcd") ]
+  in
+  let specs =
+    drawn
+    @ [ ("lit-a", "abc"); ("lit-b", "abcd");
+        ("again", snd (List.nth drawn again)) ]
   in
   return (specs, String.concat "abcd" witnessed)
 
@@ -148,6 +219,15 @@ let () =
           Alcotest.test_case "long letter run" `Quick test_long_letter_run;
           Alcotest.test_case "counters monotone" `Quick test_counters_monotone
         ] );
+      ( "repeated-rules",
+        [ Alcotest.test_case "every class listed twice" `Quick
+            test_repeated_rules;
+          Alcotest.test_case "one compile-cache lookup" `Quick
+            test_repeat_compiles_once;
+          Alcotest.test_case "one dispatch per group" `Quick
+            test_repeat_dispatches_once;
+          Alcotest.test_case "errors per listing rule" `Quick
+            test_repeated_compile_error ] );
       ("qcheck", [ qtest qcheck_onepass ]);
       ( "workloads",
         [ Alcotest.test_case "sampler rulesets" `Quick test_workloads ] ) ]

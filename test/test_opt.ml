@@ -275,12 +275,14 @@ let qcheck_preserves_oracle =
     ~print:Gen_ast.print_ast_and_input Gen_ast.gen_ast_and_input
     (fun (ast, input) ->
       let raw = Desugar.normalize ast in
+      let input = Gen_ast.cap_exponential raw input in
       Backtrack.find_all raw input = Backtrack.find_all (Opt.optimize raw) input)
 
 let qcheck_preserves_simulator =
   QCheck2.Test.make ~name:"optimized program = unoptimized program" ~count:400
     ~print:Gen_ast.print_ast_and_input Gen_ast.gen_ast_and_input
     (fun (ast, input) ->
+      let input = Gen_ast.cap_exponential ast input in
       let compile optimize = Compile.compile_ast ~optimize ast in
       match compile true, compile false with
       | Ok a, Ok b ->
@@ -302,7 +304,9 @@ let qcheck_rolling_differential =
       let replicated =
         Desugar.normalize (Ast.Concat (List.init k (fun _ -> ast)))
       in
-      Diff.check_opt_case replicated (input ^ input) = [])
+      Diff.check_opt_case replicated
+        (Gen_ast.cap_exponential replicated (input ^ input))
+      = [])
 
 (* --- Code-size effect ------------------------------------------------------ *)
 

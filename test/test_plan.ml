@@ -58,6 +58,7 @@ let prop_plan_equals_oracle =
   QCheck2.Test.make ~count:400 ~name:"plan == oracle (spans and all stats)"
     ~print:Gen_ast.print_ast_and_input Gen_ast.gen_ast_and_input
     (fun (ast, input) ->
+      let input = Gen_ast.cap_exponential ast input in
       match Compile.compile_ast ast with
       | Error _ -> true (* jump-field overflow: legitimately uncompilable *)
       | Ok c ->
@@ -105,6 +106,7 @@ let prop_trace_equals_oracle =
     ~name:"traced plan == traced oracle (events, spans and all stats)"
     ~print:Gen_ast.print_ast_and_input Gen_ast.gen_ast_and_input
     (fun (ast, input) ->
+      let input = Gen_ast.cap_exponential ast input in
       match Compile.compile_ast ast with
       | Error _ -> true
       | Ok c ->
@@ -142,6 +144,7 @@ let prop_candidates_complete =
   QCheck2.Test.make ~count:200 ~name:"all-offsets candidate scan = dense scan"
     ~print:Gen_ast.print_ast_and_input Gen_ast.gen_ast_and_input
     (fun (ast, input) ->
+      let input = Gen_ast.cap_exponential ast input in
       match Compile.compile_ast ast with
       | Error _ -> true
       | Ok c ->

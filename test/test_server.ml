@@ -446,7 +446,9 @@ let test_stats_reply () =
             check "dfa attempts completed on the table" true
               (value "dfa/attempts" >= 1.0);
             check "dfa flush gauge present" true
-              (List.mem_assoc "dfa/flushes" entries)
+              (List.mem_assoc "dfa/flushes" entries);
+            check "dfa refusal gauge present" true
+              (List.mem_assoc "dfa/refused" entries)
           | r -> fail_resp "stats" r);
           (* the registry agrees with the wire view *)
           check "server-side counter" true
