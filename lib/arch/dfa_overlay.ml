@@ -41,6 +41,13 @@
    bounded arena: on overflow the whole cache is flushed and the
    in-flight attempt bails — never wrong, only slower.
 
+   A row is indexed by byte class, not by byte: the ops read the input
+   only through a literal byte's equality test and a set's membership
+   test, so the family partitions the 256 bytes once into the classes
+   no op tells apart ([byte_classes]), and a state's row holds one cell
+   per class plus one for end of input, each built from one byte of its
+   class.
+
    The runtime loop then executes one cached transition per byte,
    carrying a handful of integer registers: forward counter deltas,
    a deferred-unwind accumulator (the cost of popping every stale
@@ -51,7 +58,8 @@
    relative peaks offset by the absolute stale depth.
 
    Concurrency: transition tables are per-domain (one instance per
-   [family] per domain, via a single Domain.DLS key); within a domain,
+   [family] per domain, via a single Domain.DLS key, at most 128 per
+   domain with the least recently used evicted); within a domain,
    sys-thread callers (the server) take a per-instance try-lock and
    fall back to [Plan.run] on contention — identical results either
    way. Cache counters are plain fields, so the hot path never touches
@@ -253,10 +261,15 @@ type t = {
   frame_tbl : (frame, int) Hashtbl.t;
   states : state vec;
   state_tbl : (state, int) Hashtbl.t;
-  rows : trans array vec; (* per state: 257 cells, [unbuilt_trans] = unbuilt *)
+  cls : string;           (* byte -> class (a char code): the row cell it reads *)
+  reps : string;          (* class -> the byte its cells are built from *)
+  rows : trans array vec;
+      (* per state: one cell per class, then one for end of input;
+         [unbuilt_trans] = unbuilt *)
   mutable n_trans : int;  (* cells built since the last flush (arena budget) *)
   regs : regs;
   mu : Mutex.t;           (* same-domain sys-thread exclusion (try-lock) *)
+  mutable last_use : int; (* the domain's [get] clock at the last [get] *)
   (* cache counters — domain-local writes, racy reads for metrics *)
   mutable c_states : int;
   mutable c_trans : int;
@@ -273,6 +286,8 @@ and family = {
   fplan : Plan.t;
   fops : Plan.op array;
   fcovered : bool array;
+  fcls : string;
+  freps : string;
   fmax_states : int;
   fmu : Mutex.t;  (* guards members / retired; never taken by the finaliser *)
   mutable members : (int * t Weak.t) list;  (* by instance id *)
@@ -284,9 +299,25 @@ and family = {
 let next_fid = Atomic.make 0
 let next_iid = Atomic.make 0
 
-(* Registry of live families, for [global_stats] (server gauges). *)
+(* Registry of live families, for [global_stats] (server gauges).
+   Collected families' entries are dropped only once the list has
+   doubled since the last prune, so registering is amortised O(1). *)
 let registry_mu = Mutex.create ()
 let registry : family Weak.t list ref = ref []
+let registry_len = ref 0     (* entries in [registry] *)
+let registry_pruned = ref 0  (* entries left by the last prune *)
+
+let register fam =
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some fam);
+  Mutex.protect registry_mu (fun () ->
+      registry := w :: !registry;
+      incr registry_len;
+      if !registry_len >= 2 * max 8 !registry_pruned then begin
+        registry := List.filter (fun w -> Weak.check w 0) !registry;
+        registry_len := List.length !registry;
+        registry_pruned := !registry_len
+      end)
 
 let coverage ops fragments =
   let n = Array.length ops in
@@ -297,6 +328,20 @@ let coverage ops fragments =
     fragments;
   covered
 
+(* The bytes a transition build can tell apart: the ops read the input
+   only through a literal byte's equality test and a set's membership
+   test, so bytes of one class build the same cell. *)
+let byte_classes plan =
+  let lits = Buffer.create 16 and sets = ref [] in
+  Array.iter
+    (function
+      | Plan.Lit { chars; _ } -> Buffer.add_string lits chars
+      | Plan.Set { bits; _ } -> sets := bits :: !sets
+      | _ -> ())
+    (Plan.ops plan);
+  Alveare_frontend.Charset.byte_classes ~singles:(Buffer.contents lits)
+    (List.map Plan.set_mem (List.sort_uniq Bytes.compare !sets))
+
 let default_max_states = 512
 
 let family ?(max_states = default_max_states) ~fragments plan =
@@ -306,18 +351,15 @@ let family ?(max_states = default_max_states) ~fragments plan =
      every transition would bail immediately. *)
   if Array.length ops = 0 || not covered.(0) then None
   else begin
+    let cls, reps = byte_classes plan in
     let fam =
       { fid = Atomic.fetch_and_add next_fid 1;
-        fplan = plan; fops = ops; fcovered = covered;
-        fmax_states = max 2 max_states;
+        fplan = plan; fops = ops; fcovered = covered; fcls = cls;
+        freps = reps; fmax_states = max 2 max_states;
         fmu = Mutex.create (); members = []; retired = zero_stats;
         graveyard = Atomic.make [] }
     in
-    let w = Weak.create 1 in
-    Weak.set w 0 (Some fam);
-    Mutex.lock registry_mu;
-    registry := w :: List.filter (fun w -> Weak.check w 0) !registry;
-    Mutex.unlock registry_mu;
+    register fam;
     Some fam
   end
 
@@ -383,7 +425,7 @@ let rec intern_state t (st : state) =
     end;
     let id = t.states.len in
     vec_push t.states st;
-    vec_push t.rows (Array.make 257 unbuilt_trans);
+    vec_push t.rows (Array.make (String.length t.reps + 1) unbuilt_trans);
     Hashtbl.add t.state_tbl st id;
     t.c_states <- t.c_states + 1;
     id
@@ -418,13 +460,14 @@ let create_instance fam =
       frame_tbl = Hashtbl.create 64;
       states = vec_make dummy_state;
       state_tbl = Hashtbl.create 64;
+      cls = fam.fcls; reps = fam.freps;
       rows = vec_make ([||] : trans array);
       n_trans = 0;
       regs =
         { r_ai = 0; r_ar = 0; r_ap = 0; r_apk = 0;
           r_hck = false; r_ce = 0; r_cki = 0; r_ckr = 0;
           r_ckp = 0; r_ckpk = 0; r_fi = 0; r_fr = 0; r_fp = 0; r_fpk = 0 };
-      mu = Mutex.create ();
+      mu = Mutex.create (); last_use = 0;
       c_states = 0; c_trans = 0; c_hits = 0; c_misses = 0;
       c_flushes = 0; c_bails = 0; c_attempts = 0; c_refused = 0 }
   in
@@ -437,21 +480,38 @@ let create_instance fam =
   Gc.finalise retire t;
   t
 
-(* One DLS slot for all families: fid -> instance for this domain. *)
-let dls_instances : (int, t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+(* One DLS slot for all families: fid -> instance for this domain, and
+   the clock that stamps each [get]. *)
+type instances = { tbl : (int, t) Hashtbl.t; mutable clock : int }
+
+let dls_instances : instances Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { tbl = Hashtbl.create 8; clock = 0 })
 
 let max_cached_instances = 128
 
+(* Past the cap, drop the least recently used instance: a standing
+   ruleset's warm tables outlive a stream of one-off patterns. *)
+let evict_lru tbl =
+  let fid = ref (-1) and stamp = ref max_int in
+  Hashtbl.iter
+    (fun f t -> if t.last_use < !stamp then begin fid := f; stamp := t.last_use end)
+    tbl;
+  Hashtbl.remove tbl !fid
+
 let get fam =
-  let tbl = Domain.DLS.get dls_instances in
-  match Hashtbl.find_opt tbl fam.fid with
-  | Some t -> t
-  | None ->
-    if Hashtbl.length tbl >= max_cached_instances then Hashtbl.reset tbl;
-    let t = create_instance fam in
-    Hashtbl.add tbl fam.fid t;
-    t
+  let d = Domain.DLS.get dls_instances in
+  d.clock <- d.clock + 1;
+  let t =
+    match Hashtbl.find_opt d.tbl fam.fid with
+    | Some t -> t
+    | None ->
+      if Hashtbl.length d.tbl >= max_cached_instances then evict_lru d.tbl;
+      let t = create_instance fam in
+      Hashtbl.add d.tbl fam.fid t;
+      t
+  in
+  t.last_use <- d.clock;
+  t
 
 (* --- Transition building ------------------------------------------------ *)
 
@@ -737,14 +797,16 @@ let build t (st : state) b : trans =
 
 (* --- Table-driven execution --------------------------------------------- *)
 
-(* Cold path of the attempt loop: build and cache the missing
-   transition. Raises [Bail] (after caching a bail transition, unless
-   the arena was just flushed) when the behaviour can't be captured. *)
-let build_missing t sid b (row : trans array) =
+(* Cold path of the attempt loop: build and cache the missing cell
+   [cell] (a class, or the last cell: end of input) from one byte of its
+   class. Raises [Bail] (after caching a bail transition, unless the
+   arena was just flushed) when the behaviour can't be captured. *)
+let build_missing t sid cell (row : trans array) =
   if t.n_trans >= t.max_transitions then begin
     flush t;
     raise Bail
   end;
+  let b = if cell < String.length t.reps then Char.code t.reps.[cell] else 256 in
   let flushes_before = t.c_flushes in
   let tr =
     try build t (vec_get t.states sid) b
@@ -754,13 +816,13 @@ let build_missing t sid b (row : trans array) =
       if t.c_flushes = flushes_before then begin
         t.n_trans <- t.n_trans + 1;
         t.c_trans <- t.c_trans + 1;
-        Array.unsafe_set row b bail_trans
+        Array.unsafe_set row cell bail_trans
       end;
       raise Bail
   in
   t.n_trans <- t.n_trans + 1;
   t.c_trans <- t.c_trans + 1;
-  Array.unsafe_set row b tr;
+  Array.unsafe_set row cell tr;
   tr
 
 (* One matching attempt on the transition table: [step] and [apply]
@@ -789,15 +851,16 @@ let settle_regs rg fi fr fp fpk =
   rg.r_fpk <- fpk
 
 let rec step t input rows pos sid stale fi fr fp fpk =
-  let b =
-    if pos < String.length input then Char.code (String.unsafe_get input pos)
-    else 256
-  in
   let row = Array.unsafe_get rows sid in
-  let tr = Array.unsafe_get row b in
+  let cell =
+    if pos < String.length input then
+      Char.code (String.unsafe_get t.cls (Char.code (String.unsafe_get input pos)))
+    else Array.length row - 1
+  in
+  let tr = Array.unsafe_get row cell in
   if tr == unbuilt_trans then begin
     t.c_misses <- t.c_misses + 1;
-    let tr = build_missing t sid b row in
+    let tr = build_missing t sid cell row in
     apply t input t.rows.data pos tr stale fi fr fp fpk
   end
   else begin

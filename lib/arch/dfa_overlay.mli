@@ -47,16 +47,29 @@ val family :
     when the fragments are trivial — in particular when they do not
     cover the entry op, in which case every attempt would bail
     immediately. [max_states] bounds the per-instance state arena
-    (default 512); transitions are bounded at 32x that. *)
+    (default 512); built cells are bounded at 32x that.
+
+    The family computes the plan's {!byte_classes} once; every state's
+    row then has one cell per class plus one for end of input, and a
+    missing cell is built from one byte of its class. Registering the
+    family (for {!global_stats}) is amortised O(1). *)
+
+val byte_classes : Plan.t -> string * string
+(** The partition of the 256 bytes that the family's rows are indexed
+    by: every byte of a [Lit] op is a class of its own, and every
+    distinct [Set] bitmap splits the classes it cuts — the coarsest
+    partition no op of the plan tells apart, so bytes of one class build
+    the same transition. [(cls, reps)] as in
+    {!Alveare_frontend.Charset.byte_classes}. *)
 
 val plan_of : family -> Plan.t
 (** The plan the family executes (also the bail fallback target). *)
 
 val get : family -> t
 (** The calling domain's instance of [family], created on first use.
-    Instances are cached in domain-local storage and dropped with the
-    domain; their counters are folded into the family totals by a GC
-    finalizer. *)
+    Instances are cached in domain-local storage, at most 128 per
+    domain: past that the least recently used one is dropped. Their
+    counters are folded into the family totals by a GC finalizer. *)
 
 val run :
   t -> ?config:Machine.config -> stats:Machine.stats ->
@@ -101,8 +114,12 @@ val run_acquired :
 type cache_stats = {
   states_built : int;
   transitions_built : int;
+      (** row cells built: one per (state, byte class) or (state, end of
+          input) reached, not one per byte value *)
   hits : int;          (** transition lookups served from the table *)
-  misses : int;        (** lookups that had to build a transition *)
+  misses : int;
+      (** lookups that had to build their cell; [hits + misses] is one
+          per byte (or end of input) an attempt read on the table *)
   flushes : int;       (** whole-cache resets on arena overflow *)
   bails : int;         (** attempts handed back to {!Plan.run} *)
   dfa_attempts : int;  (** attempts completed entirely on the table *)

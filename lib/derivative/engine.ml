@@ -49,8 +49,8 @@ type tables = {
   index : (int, int) Hashtbl.t;  (* Look id -> index in [looks] *)
   walkers : auto array;
   main : auto;
-  cls : int array;               (* byte -> minterm *)
-  reps : char array;             (* minterm -> one of its bytes *)
+  cls : string;                  (* byte -> minterm, as a char code *)
+  reps : string;                 (* minterm -> one of its bytes *)
   unfilled : st;
   masks : (int * int, int) Hashtbl.t;  (* past 62 Looks: interned masks *)
   unmask : (int, int * int) Hashtbl.t;
@@ -252,15 +252,8 @@ let build e =
   let walker (_, (l : Ast.look), b) =
     { states = Hashtbl.create 16; restart = Some (if l.Ast.behind then b else rev b) } in
   (* minterms: bytes with the same membership in every set *)
-  let sets = List.filter_map (fun (n : R.node) ->
-      match n.R.desc with R.Chars s -> Some s | _ -> None) nodes in
-  let ids = Hashtbl.create 16 in
-  let cls = Array.init 256 (fun b ->
-      let k = List.map (Charset.mem (Char.chr b)) sets in
-      if not (Hashtbl.mem ids k) then Hashtbl.add ids k (Hashtbl.length ids);
-      Hashtbl.find ids k) in
-  let reps = Array.make (Hashtbl.length ids) '\000' in
-  for b = 255 downto 0 do reps.(cls.(b)) <- Char.chr b done;
+  let cls, reps = Charset.byte_classes (List.filter_map (fun (n : R.node) ->
+      match n.R.desc with R.Chars s -> Some (fun c -> Charset.mem c s) | _ -> None) nodes) in
   let main = { states = Hashtbl.create 16; restart = None } in
   { looks; index; walkers = Array.map walker looks; main; cls; reps;
     unfilled = { node = R.bot a; rows = [] }; masks = Hashtbl.create 8;
@@ -294,7 +287,7 @@ let row e tb au st k =
         | None -> let pre, acc, _ = split e st.node in (acc, if acc then pre else st.node)
         | Some _ -> (nullable e st.node, st.node)
       in
-      let r = { key = k; acc; cont; next = Array.make (Array.length tb.reps) tb.unfilled } in
+      let r = { key = k; acc; cont; next = Array.make (String.length tb.reps) tb.unfilled } in
       st.rows <- r :: st.rows;
       e.entries <- e.entries + 1 + Array.length r.next;
       r
@@ -302,7 +295,7 @@ let row e tb au st k =
 let next e tb au r m =
   if r.next.(m) == tb.unfilled then begin
     e.key <- r.key;
-    let d = deriv e r.cont tb.reps.(m) in
+    let d = deriv e r.cont tb.reps.[m] in
     let members (n : R.node) = match n.R.desc with R.Alt xs -> xs | _ -> [ n ] in
     r.next.(m) <- intern e au (match au.restart with
       | None -> d
@@ -318,7 +311,7 @@ let next e tb au r m =
 let walk e tb input keys i =
   let au = tb.walkers.(i) and n = String.length input in
   let _, l, _ = tb.looks.(i) in
-  let byte p = tb.cls.(Char.code (String.unsafe_get input p)) in
+  let byte p = Char.code tb.cls.[Char.code (String.unsafe_get input p)] in
   let rec go st p =
     let r = row e tb au st keys.(p) in
     if r.acc <> l.Ast.negative then keys.(p) <- add tb keys.(p) i;
@@ -351,7 +344,7 @@ let with_scan e input f =
           let best = if r.acc then p else best in
           if R.is_bot r.cont || p >= n then best
           else
-            let m = tb.cls.(Char.code (String.unsafe_get input p)) in
+            let m = Char.code tb.cls.[Char.code (String.unsafe_get input p)] in
             go (next e tb tb.main r m) best (p + 1)
       in
       f n (fun start -> go tb.start (-1) start))

@@ -91,6 +91,43 @@ let fold_chars f acc (t : t) =
        go acc lo)
     acc t
 
+(* One pass over [singles], then one O(256) refinement per test: a
+   byte's new class is keyed on its old class and the test's answer.
+   Classes are renumbered in order of their smallest byte on every pass,
+   so the numbering does not depend on the order of the tests. The
+   working arrays stay at 256 words so that they are allocated on the
+   minor heap; only the two strings are kept. *)
+let byte_classes ?(singles = "") tests =
+  let cls = Array.make 256 0 in
+  String.iter (fun c -> cls.(Char.code c) <- -1) singles;
+  let n = ref 0 and rest = ref (-1) in
+  for b = 0 to 255 do
+    if cls.(b) < 0 then begin cls.(b) <- !n; incr n end
+    else begin
+      if !rest < 0 then begin rest := !n; incr n end;
+      cls.(b) <- !rest
+    end
+  done;
+  let out = Array.make 256 (-1) and inn = Array.make 256 (-1) in
+  List.iter
+    (fun test ->
+       Array.fill out 0 !n (-1);
+       Array.fill inn 0 !n (-1);
+       n := 0;
+       for b = 0 to 255 do
+         let ids = if test (Char.unsafe_chr b) then inn else out in
+         let c = cls.(b) in
+         if ids.(c) < 0 then begin ids.(c) <- !n; incr n end;
+         cls.(b) <- ids.(c)
+       done)
+    tests;
+  let map = Bytes.create 256 and reps = Bytes.create !n in
+  for b = 255 downto 0 do
+    Bytes.set map b (Char.chr cls.(b));
+    Bytes.set reps cls.(b) (Char.chr b)
+  done;
+  (Bytes.unsafe_to_string map, Bytes.unsafe_to_string reps)
+
 let pp ppf (t : t) =
   let pp_bound ppf v =
     if v >= 0x21 && v <= 0x7e then Fmt.pf ppf "%c" (Char.chr v)

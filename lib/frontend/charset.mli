@@ -35,6 +35,17 @@ val fold_chars : ('a -> char -> 'a) -> 'a -> t -> 'a
 val equal : t -> t -> bool
 val pp : t Fmt.t
 
+val byte_classes : ?singles:string -> (char -> bool) list -> string * string
+(** [byte_classes ~singles tests] is the coarsest partition of the 256
+    byte values in which every byte of [singles] is a class of its own
+    and no test tells two bytes of one class apart — the minterms of a
+    pattern whose sets are [tests] and whose literal bytes are
+    [singles]. [(cls, reps)]: [Char.code cls.[b]] is byte [b]'s class
+    ([cls] has 256 bytes), classes are numbered in order of their
+    smallest byte, and [reps.[k]] is the smallest byte of class [k] (so
+    [String.length reps] classes, at most 256). Costs one pass over
+    [singles] plus O(256) per test; deduplicate equal tests first. *)
+
 (** Shorthand classes (paper §5). *)
 
 (** [\d] *)

@@ -65,6 +65,30 @@ let test_bad_inputs () =
     (try ignore (C.complement ~alphabet_size:0 C.empty); false
      with Invalid_argument _ -> true)
 
+(* Minterms: [a-f] and [d-z] cut the alphabet into a-c, d-f, g-z and
+   the rest; the single 'x' takes a class of its own out of g-z, and
+   y-z stays with g-w (a class need not be an interval). Classes are
+   numbered by their smallest byte, which is their representative. *)
+let test_byte_classes () =
+  let af = C.range 'a' 'f' and dz = C.range 'd' 'z' in
+  let cls, reps =
+    C.byte_classes ~singles:"x" [ (fun c -> C.mem c af); (fun c -> C.mem c dz) ]
+  in
+  Alcotest.(check string) "representatives" "\000adgx" reps;
+  let of_ c = Char.code cls.[Char.code c] in
+  check_int "NUL" 0 (of_ '\000');
+  check_int "above z" 0 (of_ '{');
+  check_int "a-c" 1 (of_ 'c');
+  check_int "d-f" 2 (of_ 'f');
+  check_int "g-w" 3 (of_ 'w');
+  check_int "x alone" 4 (of_ 'x');
+  check_int "y-z with g-w" 3 (of_ 'z');
+  let every = String.init 256 Char.chr in
+  let all, reps = C.byte_classes ~singles:every [] in
+  check "every byte a single" true (all = every && reps = every);
+  let none, one = C.byte_classes [] in
+  check "no test: one class" true (none = String.make 256 '\000' && one = "\000")
+
 (* Properties: double complement = clip; membership matches chars. *)
 let qcheck_tests =
   let open QCheck2 in
@@ -105,5 +129,6 @@ let () =
           Alcotest.test_case "clip" `Quick test_clip;
           Alcotest.test_case "chars/fold/choose" `Quick test_chars_and_fold;
           Alcotest.test_case "shorthands" `Quick test_shorthands;
-          Alcotest.test_case "bad inputs" `Quick test_bad_inputs ] );
+          Alcotest.test_case "bad inputs" `Quick test_bad_inputs;
+          Alcotest.test_case "byte classes" `Quick test_byte_classes ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests) ]

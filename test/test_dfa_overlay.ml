@@ -302,10 +302,11 @@ let test_repeated_rule_not_refused () =
   Alcotest.(check int) "no refusal" before.Dfa.refused after.Dfa.refused
 
 (* The overlay finaliser runs inside whatever allocation the GC picks,
-   possibly on a thread holding a family mutex. Past 128 families a
-   domain drops its instance table, so every scan of a 600-rule set
-   creates instances and retires the last scan's; a small minor heap and
-   a full major collection between scans make the finalisers run often.
+   possibly on a thread holding a family mutex. A domain keeps at most
+   128 instances, evicting the least recently used, so every scan of a
+   600-rule set still creates instances and retires older ones; a small
+   minor heap and a full major collection between scans make the
+   finalisers run often.
    No scan may raise (a finaliser that locked the family mutex failed
    with "Resource deadlock avoided"), and the counters never go down —
    read after the scan, after one major cycle (instances finalised but
@@ -359,15 +360,103 @@ let test_finaliser_churn () =
       done;
       check "the overlay ran" true (!last.Dfa.dfa_attempts > 0))
 
+(* Past 128 families a domain evicts its least recently used instance,
+   not all of them: a standing 16-rule ruleset, scanned 7 times per scan
+   of a fresh pattern over 200 fresh patterns (the daemon's 1-in-8
+   cache-miss mix), keeps its warm tables, so its families build no
+   state after the first round. Dropping the whole table at the 129th
+   family rebuilt them. *)
+let test_lru_keeps_standing_ruleset () =
+  let module W = Alveare_workloads in
+  let module Ruleset = Alveare_compiler.Ruleset in
+  let pats = W.Snort.patterns (W.Rng.create 22) 16 in
+  let rs =
+    Ruleset.compile_exn ~cache:(Compile.create_cache ())
+      (List.mapi (fun i p -> (string_of_int i, p)) pats)
+  in
+  let input =
+    (W.Streams.generate ~rng:(W.Rng.create 23) ~size:4096
+       ~background:W.Snort.background
+       ~plant:
+         (W.Streams.plant_of_patterns
+            ~asts:(List.map Alveare_frontend.Desugar.pattern_exn pats))
+       ())
+      .W.Streams.data
+  in
+  let fams =
+    Array.to_list rs.Ruleset.rules
+    |> List.filter_map (fun r -> r.Ruleset.compiled.Compile.dfa)
+  in
+  let states () =
+    List.fold_left
+      (fun acc fam -> acc + (Dfa.family_stats fam).Dfa.states_built)
+      0 fams
+  in
+  let first = ref 0 in
+  for round = 1 to 200 do
+    for _ = 1 to 7 do ignore (Ruleset.scan rs input) done;
+    if round = 1 then first := states ()
+    else if states () <> !first then
+      Alcotest.failf "round %d: the ruleset's families have built %d states \
+                      (%d after round 1)" round (states ()) !first;
+    let c = Compile.compile_exn (Printf.sprintf "[a-f]{%d}z" (round + 1)) in
+    let fam = Option.get c.Compile.dfa in
+    ignore
+      (Core.find_all ~plan:c.Compile.plan ~dfa:fam c.Compile.program input);
+    check "the fresh pattern got an instance" true
+      ((Dfa.family_stats fam).Dfa.states_built > 0)
+  done;
+  check "the ruleset runs on the overlay" true (!first > List.length fams)
+
+(* --- byte classes ---------------------------------------------------------- *)
+
+(* The rows are indexed by [Dfa.byte_classes]: bytes of one class must
+   get the same answer from every literal byte and every set of the
+   plan (else a cell built from the class's representative would be
+   wrong for the others), and bytes of different classes must be told
+   apart by at least one of them (else rows are wider than needed). *)
+let prop_byte_classes =
+  QCheck2.Test.make ~count:400
+    ~name:"byte classes: exact and coarsest over the plan's Lit and Set ops"
+    ~print:Gen_ast.print_ast Gen_ast.gen_ast
+    (fun ast ->
+      match Compile.compile_ast ast with
+      | Error _ -> true
+      | Ok c ->
+        let plan = c.Compile.plan in
+        let tests =
+          Array.to_list (Plan.ops plan)
+          |> List.concat_map (function
+            | Plan.Lit { chars; _ } ->
+              List.map (fun l b -> b = l) (List.of_seq (String.to_seq chars))
+            | Plan.Set { bits; _ } -> [ Plan.set_mem bits ]
+            | _ -> [])
+        in
+        let answers =
+          Array.init 256 (fun b ->
+              String.concat ""
+                (List.map (fun t -> if t (Char.chr b) then "1" else "0") tests))
+        in
+        let cls, reps = Dfa.byte_classes plan in
+        let class_of b = Char.code cls.[b] in
+        for b = 0 to 255 do
+          let k = class_of b in
+          if k >= String.length reps || Char.code reps.[k] > b
+             || class_of (Char.code reps.[k]) <> k
+          then QCheck2.Test.fail_reportf "byte %d: class %d, bad representative" b k;
+          for b' = b + 1 to 255 do
+            if (class_of b' = k) <> (answers.(b') = answers.(b)) then
+              QCheck2.Test.fail_reportf
+                "bytes %d and %d: classes %d and %d, answers %s and %s" b b' k
+                (class_of b') answers.(b) answers.(b')
+          done
+        done;
+        true)
+
 (* --- allocation ---------------------------------------------------------- *)
 
-(* An attempt served by the table allocates nothing: after a warm-up
-   scan has built the transitions, a dense scan of thousands of
-   overlay attempts allocates under 8 minor words per attempt, which
-   leaves room for the matches (option, span, list cell) and the
-   scan's own set-up, not for per-attempt closures or boxed optional
-   arguments. Mixed hex text keeps most attempts short and failing. *)
-let test_attempts_allocation_free () =
+(* A dense scan of [0-9a-f]{35,49} over 16 KiB of mixed hex text. *)
+let hex_scan () =
   let c = Compile.compile_exn "[0-9a-f]{35,49}" in
   let fam = Option.get c.Compile.dfa in
   let rng = Random.State.make [| 17 |] in
@@ -379,6 +468,16 @@ let test_attempts_allocation_free () =
   let scan stats =
     Core.find_all ~stats ~plan:c.Compile.plan ~dfa:fam c.Compile.program input
   in
+  (fam, scan)
+
+(* An attempt served by the table allocates nothing: after a warm-up
+   scan has built the transitions, a dense scan of thousands of
+   overlay attempts allocates under 8 minor words per attempt, which
+   leaves room for the matches (option, span, list cell) and the
+   scan's own set-up, not for per-attempt closures or boxed optional
+   arguments. Mixed hex text keeps most attempts short and failing. *)
+let test_attempts_allocation_free () =
+  let fam, scan = hex_scan () in
   ignore (scan (Core.fresh_stats ()));
   let table_attempts () = (Dfa.stats_of (Dfa.get fam)).Dfa.dfa_attempts in
   let served0 = table_attempts () in
@@ -396,14 +495,32 @@ let test_attempts_allocation_free () =
     Alcotest.failf "%.0f minor words over %d attempts: %.1f per attempt"
       words attempts per_attempt
 
+(* A row has one cell per byte class plus one for end of input, not one
+   per byte value: after the warm scan above, the domain's instance
+   (about 50 states over 2 classes, hex digits and the rest) with its
+   rows, transitions and the plan it reaches stays under 8,192 words
+   (3,551; 28,210 with 257-cell rows). *)
+let test_rows_sized_by_classes () =
+  let fam, scan = hex_scan () in
+  ignore (scan (Core.fresh_stats ()));
+  let d = Dfa.get fam in
+  check "states built" true ((Dfa.stats_of d).Dfa.states_built >= 40);
+  let words = Obj.reachable_words (Obj.repr d) in
+  if words >= 8192 then
+    Alcotest.failf "the instance reaches %d words (%d states)" words
+      (Dfa.stats_of d).Dfa.states_built
+
 let qsuite =
-  List.map QCheck_alcotest.to_alcotest [ prop_dfa_equals_plan; prop_tiny_budget ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_dfa_equals_plan; prop_tiny_budget; prop_byte_classes ]
 
 let () =
   Alcotest.run "dfa_overlay"
     [ ( "lifecycle",
         [ Alcotest.test_case "finaliser under instance churn" `Quick
-            test_finaliser_churn ] );
+            test_finaliser_churn;
+          Alcotest.test_case "LRU keeps a standing ruleset's instances" `Quick
+            test_lru_keeps_standing_ruleset ] );
       ("differential", qsuite);
       ( "seams",
         [ Alcotest.test_case "fragment-boundary handoff" `Quick
@@ -424,4 +541,6 @@ let () =
             test_repeated_rule_not_refused ] );
       ( "allocation",
         [ Alcotest.test_case "attempts on the table allocate nothing" `Quick
-            test_attempts_allocation_free ] ) ]
+            test_attempts_allocation_free;
+          Alcotest.test_case "rows sized by byte classes" `Quick
+            test_rows_sized_by_classes ] ) ]
