@@ -136,14 +136,10 @@ let prefilter_next ~anchor_at prefilter plan input =
 let plan_of ?plan program =
   match plan with Some p -> p | None -> Plan.of_program program
 
-let match_at ?(config = default_config) ?(stats = fresh_stats ()) ?plan ?dfa
+let match_at ?(config = default_config) ?(stats = fresh_stats ()) ?plan
     program input start : int option =
-  let plan = plan_of ?plan program in
-  let scratch = Plan.create_scratch () in
-  match dfa with
-  | Some fam when Dfa_overlay.plan_of fam == plan ->
-    Dfa_overlay.run (Dfa_overlay.get fam) ~config ~stats scratch input start
-  | Some _ | None -> Plan.run ~config ~stats plan scratch input start
+  Plan.run ~config ~stats (plan_of ?plan program) (Plan.create_scratch ())
+    input start
 
 let search ?(config = default_config) ?(stats = fresh_stats ()) ?prefilter
     ?plan ?dfa ?(from = 0) program input : Span.span option =

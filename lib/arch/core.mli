@@ -15,14 +15,16 @@
     spans, every {!stats} counter and the {!Trace} equal to it.
 
     Every entry point accepts an optional pre-built [?plan] (skip
-    re-lowering; {!Alveare_compiler} compilations carry one) and a
+    re-lowering; {!Alveare_compiler} compilations carry one). The scans
+    ({!search}, {!find_all}, {!find_all_candidates}) also accept a
     [?dfa] overlay family ({!Dfa_overlay}): attempts whose execution
     stays inside the pattern's backtracking-free fragments then run at
     one table lookup per byte, with bit-identical spans and stats. The
     family must have been built from the same [?plan] value (physical
     equality) — otherwise it is silently ignored — and is also ignored
     on traced scans and for finite [stack_capacity] configs.
-    {!Alveare_compiler} compilations carry a matching family. *)
+    {!Alveare_compiler} compilations carry a matching family. The
+    single attempt of {!match_at} runs on the plan alone. *)
 
 type config = Machine.config = {
   compute_units : int;          (** CUs in the vector unit (paper: 4) *)
@@ -60,9 +62,10 @@ exception Exec_error of error
 (** Same exception as {!Machine.Exec_error}. *)
 
 val match_at :
-  ?config:config -> ?stats:stats -> ?plan:Plan.t -> ?dfa:Dfa_overlay.family ->
+  ?config:config -> ?stats:stats -> ?plan:Plan.t ->
   Alveare_isa.Program.t -> string -> int -> int option
-(** Anchored attempt at an offset; returns the match end. *)
+(** Anchored attempt at an offset, on {!Plan.run}; returns the match
+    end. *)
 
 val search :
   ?config:config -> ?stats:stats ->

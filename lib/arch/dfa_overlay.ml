@@ -62,12 +62,10 @@
    domain with the least recently used evicted); within a domain,
    sys-thread callers (the server) take a per-instance try-lock and
    fall back to [Plan.run] on contention — identical results either
-   way. Cache counters are plain fields, so the hot path never touches
-   an atomic; a GC finaliser pushes a collected instance's counters onto
-   its family's lock-free graveyard, which the stats readers fold into
-   the family's retirement totals. The finaliser takes no lock: it runs
-   at whatever allocation the GC picks, possibly on a thread that holds
-   the family mutex. *)
+   way. Cache counters are plain fields of the instance, so the hot
+   path never touches an atomic; they hold the open session's counts
+   only, and [release] adds them to the family's and the process's
+   atomic totals and zeroes them, once per session. *)
 
 module I = Alveare_isa.Instruction
 
@@ -84,19 +82,36 @@ type cache_stats = {
   refused : int;      (* sessions refused: instance held by another caller *)
 }
 
-let zero_stats =
-  { states_built = 0; transitions_built = 0; hits = 0; misses = 0;
-    flushes = 0; bails = 0; dfa_attempts = 0; refused = 0 }
+(* Totals of every ended session, one atomic per counter: one set per
+   family and one for the process. *)
+type totals = {
+  tot_states : int Atomic.t;
+  tot_trans : int Atomic.t;
+  tot_hits : int Atomic.t;
+  tot_misses : int Atomic.t;
+  tot_flushes : int Atomic.t;
+  tot_bails : int Atomic.t;
+  tot_attempts : int Atomic.t;
+  tot_refused : int Atomic.t;
+}
 
-let add_stats a b =
-  { states_built = a.states_built + b.states_built;
-    transitions_built = a.transitions_built + b.transitions_built;
-    hits = a.hits + b.hits;
-    misses = a.misses + b.misses;
-    flushes = a.flushes + b.flushes;
-    bails = a.bails + b.bails;
-    dfa_attempts = a.dfa_attempts + b.dfa_attempts;
-    refused = a.refused + b.refused }
+let new_totals () =
+  let z () = Atomic.make 0 in
+  { tot_states = z (); tot_trans = z (); tot_hits = z (); tot_misses = z ();
+    tot_flushes = z (); tot_bails = z (); tot_attempts = z ();
+    tot_refused = z () }
+
+let read_totals s =
+  { states_built = Atomic.get s.tot_states;
+    transitions_built = Atomic.get s.tot_trans;
+    hits = Atomic.get s.tot_hits; misses = Atomic.get s.tot_misses;
+    flushes = Atomic.get s.tot_flushes; bails = Atomic.get s.tot_bails;
+    dfa_attempts = Atomic.get s.tot_attempts;
+    refused = Atomic.get s.tot_refused }
+
+let process_totals = new_totals ()
+
+let add a n = if n <> 0 then ignore (Atomic.fetch_and_add a n)
 
 (* --- Growable vectors (OCaml 5.1: no Dynarray) -------------------------- *)
 
@@ -251,7 +266,6 @@ type regs = {
 
 type t = {
   fam : family;
-  iid : int;              (* instance id, unique in the process *)
   ops : Plan.op array;
   covered : bool array;
   max_states : int;
@@ -270,7 +284,7 @@ type t = {
   regs : regs;
   mu : Mutex.t;           (* same-domain sys-thread exclusion (try-lock) *)
   mutable last_use : int; (* the domain's [get] clock at the last [get] *)
-  (* cache counters — domain-local writes, racy reads for metrics *)
+  (* the open session's cache counters, written under [mu] *)
   mutable c_states : int;
   mutable c_trans : int;
   mutable c_hits : int;
@@ -278,7 +292,6 @@ type t = {
   mutable c_flushes : int;
   mutable c_bails : int;
   mutable c_attempts : int;
-  mutable c_refused : int;
 }
 
 and family = {
@@ -289,35 +302,10 @@ and family = {
   fcls : string;
   freps : string;
   fmax_states : int;
-  fmu : Mutex.t;  (* guards members / retired; never taken by the finaliser *)
-  mutable members : (int * t Weak.t) list;  (* by instance id *)
-  mutable retired : cache_stats;  (* counters of settled collected instances *)
-  graveyard : (int * cache_stats) list Atomic.t;
-      (* pushed by finalisers: collected instances not settled yet *)
+  totals : totals;
 }
 
 let next_fid = Atomic.make 0
-let next_iid = Atomic.make 0
-
-(* Registry of live families, for [global_stats] (server gauges).
-   Collected families' entries are dropped only once the list has
-   doubled since the last prune, so registering is amortised O(1). *)
-let registry_mu = Mutex.create ()
-let registry : family Weak.t list ref = ref []
-let registry_len = ref 0     (* entries in [registry] *)
-let registry_pruned = ref 0  (* entries left by the last prune *)
-
-let register fam =
-  let w = Weak.create 1 in
-  Weak.set w 0 (Some fam);
-  Mutex.protect registry_mu (fun () ->
-      registry := w :: !registry;
-      incr registry_len;
-      if !registry_len >= 2 * max 8 !registry_pruned then begin
-        registry := List.filter (fun w -> Weak.check w 0) !registry;
-        registry_len := List.length !registry;
-        registry_pruned := !registry_len
-      end)
 
 let coverage ops fragments =
   let n = Array.length ops in
@@ -352,15 +340,10 @@ let family ?(max_states = default_max_states) ~fragments plan =
   if Array.length ops = 0 || not covered.(0) then None
   else begin
     let cls, reps = byte_classes plan in
-    let fam =
+    Some
       { fid = Atomic.fetch_and_add next_fid 1;
         fplan = plan; fops = ops; fcovered = covered; fcls = cls;
-        freps = reps; fmax_states = max 2 max_states;
-        fmu = Mutex.create (); members = []; retired = zero_stats;
-        graveyard = Atomic.make [] }
-    in
-    register fam;
-    Some fam
+        freps = reps; fmax_states = max 2 max_states; totals = new_totals () }
   end
 
 let plan_of fam = fam.fplan
@@ -368,50 +351,27 @@ let plan_of fam = fam.fplan
 let stats_of (t : t) =
   { states_built = t.c_states; transitions_built = t.c_trans;
     hits = t.c_hits; misses = t.c_misses; flushes = t.c_flushes;
-    bails = t.c_bails; dfa_attempts = t.c_attempts; refused = t.c_refused }
+    bails = t.c_bails; dfa_attempts = t.c_attempts; refused = 0 }
 
-(* With [fmu] held: drop collected members, and fold into [retired] the
-   graveyard entries of instances no longer among them. An entry whose
-   instance is still reachable through its weak pointer (finalised but
-   not yet collected) stays, so that readers skip the instance as live.
-   A finaliser pushing meanwhile makes the swap fail; the next settle
-   folds its entry. *)
-let settle fam =
-  fam.members <- List.filter (fun (_, w) -> Weak.check w 0) fam.members;
-  let grave = Atomic.get fam.graveyard in
-  let kept, gone =
-    List.partition (fun (id, _) -> List.mem_assoc id fam.members) grave
-  in
-  if gone <> [] && Atomic.compare_and_set fam.graveyard grave kept then
-    fam.retired <-
-      List.fold_left (fun acc (_, s) -> add_stats acc s) fam.retired gone
+let family_stats fam = read_totals fam.totals
+let global_stats () = read_totals process_totals
 
-(* Settled totals, then the graveyard, then the live instances not in
-   it — one snapshot under [fmu], so a later call never reports less. *)
-let family_stats fam =
-  Mutex.protect fam.fmu (fun () ->
-      settle fam;
-      let grave = Atomic.get fam.graveyard in
-      let acc =
-        List.fold_left (fun acc (_, s) -> add_stats acc s) fam.retired grave
-      in
-      List.fold_left
-        (fun acc (id, w) ->
-           match Weak.get w 0 with
-           | Some t when not (List.mem_assoc id grave) -> add_stats acc (stats_of t)
-           | _ -> acc)
-        acc fam.members)
+let add_counts s t =
+  add s.tot_states t.c_states;
+  add s.tot_trans t.c_trans;
+  add s.tot_hits t.c_hits;
+  add s.tot_misses t.c_misses;
+  add s.tot_flushes t.c_flushes;
+  add s.tot_bails t.c_bails;
+  add s.tot_attempts t.c_attempts
 
-let global_stats () =
-  Mutex.lock registry_mu;
-  let fams = !registry in
-  Mutex.unlock registry_mu;
-  List.fold_left
-    (fun acc w ->
-       match Weak.get w 0 with
-       | Some fam -> add_stats acc (family_stats fam)
-       | None -> acc)
-    zero_stats fams
+(* End of a session: the counts move to the family's and the process's
+   totals, so the instance starts the next session at zero. *)
+let fold_counts t =
+  add_counts t.fam.totals t;
+  add_counts process_totals t;
+  t.c_states <- 0; t.c_trans <- 0; t.c_hits <- 0; t.c_misses <- 0;
+  t.c_flushes <- 0; t.c_bails <- 0; t.c_attempts <- 0
 
 (* --- Instance lifecycle ------------------------------------------------- *)
 
@@ -440,20 +400,9 @@ and flush t =
   t.c_flushes <- t.c_flushes + 1;
   ignore (intern_state t state0)
 
-(* The finaliser: a lock-free push (see the header). *)
-let retire (t : t) =
-  let entry = (t.iid, stats_of t) in
-  let rec push () =
-    let grave = Atomic.get t.fam.graveyard in
-    if not (Atomic.compare_and_set t.fam.graveyard grave (entry :: grave))
-    then push ()
-  in
-  push ()
-
 let create_instance fam =
   let t =
-    { fam; iid = Atomic.fetch_and_add next_iid 1;
-      ops = fam.fops; covered = fam.fcovered;
+    { fam; ops = fam.fops; covered = fam.fcovered;
       max_states = fam.fmax_states;
       max_transitions = 32 * fam.fmax_states;
       frames = vec_make dummy_frame;
@@ -469,15 +418,10 @@ let create_instance fam =
           r_ckp = 0; r_ckpk = 0; r_fi = 0; r_fr = 0; r_fp = 0; r_fpk = 0 };
       mu = Mutex.create (); last_use = 0;
       c_states = 0; c_trans = 0; c_hits = 0; c_misses = 0;
-      c_flushes = 0; c_bails = 0; c_attempts = 0; c_refused = 0 }
+      c_flushes = 0; c_bails = 0; c_attempts = 0 }
   in
   ignore (intern_state t state0);
-  let w = Weak.create 1 in
-  Weak.set w 0 (Some t);
-  Mutex.protect fam.fmu (fun () ->
-      settle fam;
-      fam.members <- (t.iid, w) :: fam.members);
-  Gc.finalise retire t;
+  fold_counts t;
   t
 
 (* One DLS slot for all families: fid -> instance for this domain, and
@@ -963,31 +907,23 @@ let acquire t ~config =
      Stack_overflow, so such configs stay off the table entirely. A
      held lock means another caller of this domain is using the table:
      identical results either way, so don't wait, but count the
-     refusal. *)
+     refusal. The holder owns the instance's counters, so the refusal
+     goes to the totals directly. *)
   config.Machine.stack_capacity = None
   && (Mutex.try_lock t.mu
       || begin
-        t.c_refused <- t.c_refused + 1;
+        add t.fam.totals.tot_refused 1;
+        add process_totals.tot_refused 1;
         false
       end)
 
-let release t = Mutex.unlock t.mu
+let release t =
+  fold_counts t;
+  Mutex.unlock t.mu
 
 let run_acquired t ~config ~(stats : Machine.stats) (scratch : Plan.scratch)
     (input : string) (start : int) : int option =
   let r = run_dfa t stats input start in
   if r >= 0 then Some r
   else if r = -1 then None
-  else Plan.run ~config ~stats t.fam.fplan scratch input start
-
-let run t ?(config = Machine.default_config) ~(stats : Machine.stats)
-    (scratch : Plan.scratch) (input : string) (start : int) : int option =
-  if acquire t ~config then begin
-    let r =
-      try run_acquired t ~config ~stats scratch input start
-      with e -> release t; raise e
-    in
-    release t;
-    r
-  end
   else Plan.run ~config ~stats t.fam.fplan scratch input start

@@ -22,22 +22,25 @@
     whole cache is flushed and rebuilt lazily — never wrong, only
     slower — so an artificially tiny budget degrades gracefully.
 
-    Transition tables are not shared between domains: a {!family} is
-    the shareable, immutable description (plan + fragment mask +
-    budget), and each domain lazily materializes its own instance via
-    {!get}. Within a domain, concurrent sys-threads (the server) are
-    excluded by a per-instance try-lock with a plan-path fallback, so
-    {!run} never blocks. *)
+    Concurrency: transition tables are not shared between domains. A
+    {!family} is the shareable description (plan + fragment mask +
+    budget, and its counter totals), and each domain lazily
+    materializes its own instance via {!get}. Within a domain,
+    concurrent sys-threads (the server) are excluded by a per-instance
+    try-lock with a plan-path fallback, so {!acquire} never blocks. An
+    instance counts in plain fields during a session; {!release} adds
+    the counts to the family's and the process's atomic totals, so the
+    totals depend only on the work done, never on when the GC runs. *)
 
 type t
 (** A per-domain overlay instance: the lazily built transition table
-    plus its cache counters. Obtain via {!get}; do not share across
-    domains. *)
+    plus its open session's cache counters. Obtain via {!get}; do not
+    share across domains. *)
 
 type family
 (** The domain-shareable identity of an overlay: source plan, safe
-    fragments, state budget, and the aggregate counters of all
-    instances (live and collected). One per compiled pattern. *)
+    fragments, state budget, and the counter totals of every ended
+    session of its instances. One per compiled pattern. *)
 
 val family :
   ?max_states:int -> fragments:(int * int) list -> Plan.t -> family option
@@ -51,8 +54,9 @@ val family :
 
     The family computes the plan's {!byte_classes} once; every state's
     row then has one cell per class plus one for end of input, and a
-    missing cell is built from one byte of its class. Registering the
-    family (for {!global_stats}) is amortised O(1). *)
+    missing cell is built from one byte of its class. Nothing registers
+    the family: an unreachable family is collected like any value, and
+    its counts stay in {!global_stats}. *)
 
 val byte_classes : Plan.t -> string * string
 (** The partition of the 256 bytes that the family's rows are indexed
@@ -68,26 +72,18 @@ val plan_of : family -> Plan.t
 val get : family -> t
 (** The calling domain's instance of [family], created on first use.
     Instances are cached in domain-local storage, at most 128 per
-    domain: past that the least recently used one is dropped. Their
-    counters are folded into the family totals by a GC finalizer. *)
+    domain: past that the least recently used one is dropped. Each
+    session's counts reach the totals at {!release}, so nothing runs
+    when a dropped instance is collected. *)
 
-val run :
-  t -> ?config:Machine.config -> stats:Machine.stats ->
-  Plan.scratch -> string -> int -> int option
-(** [run t ~stats scratch input start]: one full matching attempt
-    anchored at [start] — drop-in for {!Plan.run} with identical
-    results, stats and exceptions. Executes on the transition table
-    when possible and falls back to {!Plan.run} (using [scratch])
-    otherwise. Takes and releases the instance lock; scan loops
-    should hoist that with {!acquire}/{!run_acquired}/{!release}. *)
-
-(** {1 Scan-level sessions}
+(** {1 Sessions}
 
     A scan runs one attempt per candidate offset; taking the instance
     lock per attempt would cost more than the table saves on short
-    attempts. [acquire] takes it once for the whole scan. Every
-    plan-path scan, the fused ruleset sweep's included, holds its
-    session through {!Scan_cursor}. *)
+    attempts. [acquire] takes it once for the whole scan, and attempts
+    run on the table only inside such a session. Every plan-path scan,
+    the fused ruleset sweep's included, holds its session through
+    {!Scan_cursor}. *)
 
 val acquire : t -> config:Machine.config -> bool
 (** Try to reserve the table for a scan. [false] — leaving the caller
@@ -95,19 +91,24 @@ val acquire : t -> config:Machine.config -> bool
     (overflow must raise the plan path's exact error), or when another
     caller of this domain holds the instance: another sys-thread, or a
     session the calling thread still has open. Results are identical
-    either way, so never wait; the second refusal is counted in
-    [cache_stats.refused]. *)
+    either way, so never wait; the second refusal is added to the
+    [refused] totals at once. *)
 
 val release : t -> unit
-(** End a successful {!acquire}. *)
+(** End a successful {!acquire}: add the session's counts to the
+    family's and the process's totals, and unlock. *)
 
 val run_acquired :
   t -> config:Machine.config -> stats:Machine.stats ->
   Plan.scratch -> string -> int -> int option
-(** {!run} without the locking: caller holds the instance via
-    {!acquire}. Falls back to {!Plan.run} internally on a bail. An
-    attempt served by the table allocates nothing but the [Some] of a
-    match; [config] is required so that the call does not box it. *)
+(** [run_acquired t ~config ~stats scratch input start]: one full
+    matching attempt anchored at [start], inside a session the caller
+    holds via {!acquire} — drop-in for {!Plan.run} with identical
+    results, stats and exceptions. Executes on the transition table
+    when possible and falls back to {!Plan.run} (using [scratch])
+    otherwise. An attempt served by the table allocates nothing but
+    the [Some] of a match; [config] is required so that the call does
+    not box it. *)
 
 (** {1 Cache observability} *)
 
@@ -129,15 +130,16 @@ type cache_stats = {
           by design, is not counted) *)
 }
 
-val zero_stats : cache_stats
-val add_stats : cache_stats -> cache_stats -> cache_stats
-
 val stats_of : t -> cache_stats
-(** Counters of one instance. *)
+(** The counts of the instance's open session so far (all zero between
+    sessions; [refused] is always 0, refusals go to the totals). Read
+    it from the thread that holds the session. *)
 
 val family_stats : family -> cache_stats
-(** Aggregate over the family's instances, live and collected. Reads
-    of live instances on other domains are racy (metrics-grade). *)
+(** The family's totals: the sum over every ended session of its
+    instances on any domain, plus its refusals. Monotone; a session
+    still open is not in it yet. *)
 
 val global_stats : unit -> cache_stats
-(** Aggregate over every live family in the process (server gauges). *)
+(** The process's totals, the same sum over every family ever scanned,
+    collected ones included (server gauges). Monotone. *)

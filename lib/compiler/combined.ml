@@ -179,7 +179,7 @@ let scan (t : t) (input : string) : outcome array =
   let cursors = Array.make nr None in
   Fun.protect
     ~finally:(fun () ->
-        Array.iter (Option.iter (fun (_, c, _) -> Scan_cursor.release c))
+        Array.iter (Option.iter (fun (_, c) -> Scan_cursor.release c))
           cursors)
   @@ fun () ->
   Array.iteri
@@ -190,12 +190,7 @@ let scan (t : t) (input : string) : outcome array =
            Scan_cursor.start ~dfa:c.Compile.dfa ~config:Core.default_config
              ~stats ~all:true c.Compile.plan (Plan.create_scratch ()) input 0
          in
-         let states =
-           match Scan_cursor.session cur with
-           | Some d -> (Dfa.stats_of d).Dfa.states_built
-           | None -> 0
-         in
-         cursors.(i) <- Some (stats, cur, states)
+         cursors.(i) <- Some (stats, cur)
        end)
     t.rules;
   let buckets =
@@ -223,7 +218,7 @@ let scan (t : t) (input : string) : outcome array =
     in
     for k = 0 to Array.length ds - 1 do
       match cursors.(Array.unsafe_get ds k) with
-      | Some (_, cur, _) ->
+      | Some (_, cur) ->
         incr disp_count;
         ignore (Scan_cursor.offer cur i)
       | None -> assert false
@@ -235,13 +230,12 @@ let scan (t : t) (input : string) : outcome array =
     (fun i cursor ->
        outcomes.(i) <-
          (match cursor with
-          | Some (stats, cur, states0) ->
+          | Some (stats, cur) ->
             (match Scan_cursor.session cur with
              | Some d ->
                incr sessions;
                session_attempts := !session_attempts + stats.Core.attempts;
-               states :=
-                 !states + (Dfa.stats_of d).Dfa.states_built - states0
+               states := !states + (Dfa.stats_of d).Dfa.states_built
              | None -> ());
             Scanned (stats, Scan_cursor.finish cur)
           | None when t.rep.(i) < i ->

@@ -76,8 +76,8 @@ let create ?(config = default_config) metrics =
       let lookups = s.Cache.hits + s.Cache.misses in
       if lookups = 0 then 0.0
       else Float.of_int s.Cache.hits /. Float.of_int lookups);
-  (* Lazy-DFA overlay cache counters, aggregated over every live
-     pattern family in the process. *)
+  (* Lazy-DFA overlay cache counters: process totals over every
+     pattern family ever scanned. *)
   let dfa_stat f =
     fun () -> Float.of_int (f (Alveare_arch.Dfa_overlay.global_stats ()))
   in

@@ -63,8 +63,9 @@ val create : ?config:config -> Metrics.t -> t
     in rules; larger ones are built per request and never counted), the
     lazy-DFA overlay cache gauges ([dfa/states-built],
     [dfa/transitions-built], [dfa/hits], [dfa/misses], [dfa/flushes],
-    [dfa/bails], [dfa/attempts], [dfa/refused] — process-wide
-    aggregates from {!Alveare_arch.Dfa_overlay.global_stats}), plus
+    [dfa/bails], [dfa/attempts], [dfa/refused] — process totals over
+    every pattern family ever scanned, not just the live ones, from
+    {!Alveare_arch.Dfa_overlay.global_stats}; they never fall), plus
     the fused one-pass ruleset scan gauges ([ruleset/onepass-scans],
     [ruleset/shared-pass-bytes], [ruleset/dispatch-candidates],
     [ruleset/ac-candidates], [ruleset/product-rules],

@@ -31,6 +31,13 @@ let show_stats (s : Core.stats) =
     s.Core.max_stack_depth s.Core.scan_cycles s.Core.attempts
     s.Core.offsets_scanned s.Core.offsets_pruned s.Core.match_count
 
+(* Every overlay counter of [b] is at least that of [a]. *)
+let no_lower (a : Dfa.cache_stats) (b : Dfa.cache_stats) =
+  b.states_built >= a.states_built && b.transitions_built >= a.transitions_built
+  && b.hits >= a.hits && b.misses >= a.misses && b.flushes >= a.flushes
+  && b.bails >= a.bails && b.dfa_attempts >= a.dfa_attempts
+  && b.refused >= a.refused
+
 (* One scan with the overlay and one without; any span or counter drift
    is a test failure with both sides printed. *)
 let scan_agrees ?fail name fam run =
@@ -48,7 +55,8 @@ let scan_agrees ?fail name fam run =
     fail "stats:@.  dfa:  %s@.  plan: %s" (show_stats ds) (show_stats ps)
 
 (* Per-attempt parity at EVERY offset, through the public per-attempt
-   entry point (Dfa_overlay.run locks and falls back internally). *)
+   entry point, inside one session (run_acquired falls back to the plan
+   path internally on a bail). *)
 let attempts_agree ?fail name fam plan input =
   let fail =
     match fail with
@@ -56,11 +64,14 @@ let attempts_agree ?fail name fam plan input =
     | None -> fun fmt -> Alcotest.failf ("%s: " ^^ fmt) name
   in
   let t = Dfa.get fam in
+  let config = Core.default_config in
   let scratch = Plan.create_scratch () in
+  if not (Dfa.acquire t ~config) then Alcotest.failf "%s: instance held" name;
+  Fun.protect ~finally:(fun () -> Dfa.release t) @@ fun () ->
   for start = 0 to String.length input do
     let ds = Core.fresh_stats () in
     let ps = Core.fresh_stats () in
-    let dr = Dfa.run t ~stats:ds scratch input start in
+    let dr = Dfa.run_acquired t ~config ~stats:ds scratch input start in
     let pr = Plan.run ~stats:ps plan scratch input start in
     if dr <> pr then
       fail "offset %d: dfa %s plan %s" start
@@ -155,6 +166,37 @@ let test_tiny_budget_flushes () =
   let s = Dfa.family_stats fam in
   check "flushes happened" true (s.Dfa.flushes > 0);
   check "states stayed within budget" true (s.Dfa.states_built > 0)
+
+(* The cell budget (32 x max_states cells built) runs out before the
+   state arena only on a plan of more than 32 byte classes. Each of the
+   literal's 37 distinct bytes is a class of its own (39 classes in
+   all); the input, printable and without a 'z', keeps every attempt in
+   the four states before the literal, whose rows take 152 cells
+   against a budget of 128. So the 4-state arena never fills, and every
+   flush (21 on this input) is the cell budget's. *)
+let test_cell_budget_flushes () =
+  let c = Compile.compile_exn "[!-~]{3}z0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ" in
+  let fam =
+    match
+      Dfa.family ~max_states:4 ~fragments:c.Compile.safe_fragments
+        c.Compile.plan
+    with
+    | Some fam -> fam
+    | None -> Alcotest.fail "expected an overlay family"
+  in
+  let rng = Random.State.make [| 5 |] in
+  let input =
+    String.init 4096 (fun _ ->
+        match Char.chr (33 + Random.State.int rng 94) with
+        | 'z' -> 'y'
+        | b -> b)
+  in
+  let before = Dfa.family_stats fam in
+  scan_agrees "cells" fam (fun ~stats ~dfa ->
+      Core.find_all ~stats ?dfa ~plan:c.Compile.plan c.Compile.program input);
+  attempts_agree "cells" fam c.Compile.plan input;
+  let after = Dfa.family_stats fam in
+  check "flushes happened" true (after.Dfa.flushes > before.Dfa.flushes)
 
 (* --- streaming resume --------------------------------------------------- *)
 
@@ -301,19 +343,13 @@ let test_repeated_rule_not_refused () =
     (after.Dfa.dfa_attempts > before.Dfa.dfa_attempts);
   Alcotest.(check int) "no refusal" before.Dfa.refused after.Dfa.refused
 
-(* The overlay finaliser runs inside whatever allocation the GC picks,
-   possibly on a thread holding a family mutex. A domain keeps at most
-   128 instances, evicting the least recently used, so every scan of a
-   600-rule set still creates instances and retires older ones; a small
-   minor heap and a full major collection between scans make the
-   finalisers run often.
-   No scan may raise (a finaliser that locked the family mutex failed
-   with "Resource deadlock avoided"), and the counters never go down —
-   read after the scan, after one major cycle (instances finalised but
-   not yet collected) and after the full collection. A collected family
-   leaves the process-wide totals, so this test runs first, before any
-   other test has made (and dropped) a family. *)
-let test_finaliser_churn () =
+(* Instance churn: a domain keeps at most 128 instances, evicting the
+   least recently used, so every scan of a 600-rule set still creates
+   instances and drops older ones, and a small minor heap and a full
+   major collection between scans collect them often. No scan may
+   raise, and the process-wide counters never go down — read after the
+   scan, after one major cycle and after the full collection. *)
+let test_instance_churn () =
   let module W = Alveare_workloads in
   let module Ruleset = Alveare_compiler.Ruleset in
   let pats =
@@ -335,19 +371,13 @@ let test_finaliser_churn () =
        ())
       .W.Streams.data
   in
-  let grew (a : Dfa.cache_stats) (b : Dfa.cache_stats) =
-    b.states_built >= a.states_built && b.transitions_built >= a.transitions_built
-    && b.hits >= a.hits && b.misses >= a.misses && b.flushes >= a.flushes
-    && b.bails >= a.bails && b.dfa_attempts >= a.dfa_attempts
-    && b.refused >= a.refused
-  in
   let gc = Gc.get () in
   Gc.set { gc with Gc.minor_heap_size = 4096 };
   Fun.protect ~finally:(fun () -> Gc.set gc) (fun () ->
       let last = ref (Dfa.global_stats ()) in
       let read () =
         let now = Dfa.global_stats () in
-        check "global stats never decrease" true (grew !last now);
+        check "global stats never decrease" true (no_lower !last now);
         last := now
       in
       for _ = 1 to 10 do
@@ -359,6 +389,34 @@ let test_finaliser_churn () =
         read ()
       done;
       check "the overlay ran" true (!last.Dfa.dfa_attempts > 0))
+
+(* The totals keep the counts of collected families: 200 one-off
+   patterns, compiled uncached and scanned once each, so the domain's
+   128-instance LRU drops the first 72 and nothing else keeps them
+   alive. Two full collections between two reads of the process-wide
+   totals must lower none of them. *)
+let test_totals_survive_collection () =
+  let rng = Random.State.make [| 11 |] in
+  let input =
+    String.init 2048 (fun _ -> "abcdefz ".[Random.State.int rng 8])
+  in
+  let start = Dfa.global_stats () in
+  for i = 1 to 200 do
+    let c = Compile.compile_exn (Printf.sprintf "[a-f]{%d}z" i) in
+    ignore
+      (Core.find_all ~plan:c.Compile.plan ?dfa:c.Compile.dfa
+         c.Compile.program input)
+  done;
+  let before = Dfa.global_stats () in
+  Gc.full_major ();
+  Gc.full_major ();
+  let after = Dfa.global_stats () in
+  if not (no_lower before after) then
+    Alcotest.failf "totals fell: hits %d -> %d, states %d -> %d"
+      before.Dfa.hits after.Dfa.hits before.Dfa.states_built
+      after.Dfa.states_built;
+  check "the overlay ran" true
+    (before.Dfa.dfa_attempts > start.Dfa.dfa_attempts)
 
 (* Past 128 families a domain evicts its least recently used instance,
    not all of them: a standing 16-rule ruleset, scanned 7 times per scan
@@ -479,7 +537,7 @@ let hex_scan () =
 let test_attempts_allocation_free () =
   let fam, scan = hex_scan () in
   ignore (scan (Core.fresh_stats ()));
-  let table_attempts () = (Dfa.stats_of (Dfa.get fam)).Dfa.dfa_attempts in
+  let table_attempts () = (Dfa.family_stats fam).Dfa.dfa_attempts in
   let served0 = table_attempts () in
   let stats = Core.fresh_stats () in
   let w0 = Gc.minor_words () in
@@ -504,11 +562,11 @@ let test_rows_sized_by_classes () =
   let fam, scan = hex_scan () in
   ignore (scan (Core.fresh_stats ()));
   let d = Dfa.get fam in
-  check "states built" true ((Dfa.stats_of d).Dfa.states_built >= 40);
+  let states = (Dfa.family_stats fam).Dfa.states_built in
+  check "states built" true (states >= 40);
   let words = Obj.reachable_words (Obj.repr d) in
   if words >= 8192 then
-    Alcotest.failf "the instance reaches %d words (%d states)" words
-      (Dfa.stats_of d).Dfa.states_built
+    Alcotest.failf "the instance reaches %d words (%d states)" words states
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
@@ -517,8 +575,11 @@ let qsuite =
 let () =
   Alcotest.run "dfa_overlay"
     [ ( "lifecycle",
-        [ Alcotest.test_case "finaliser under instance churn" `Quick
-            test_finaliser_churn;
+        [ Alcotest.test_case
+            "no scan raises, no counter decreases under instance churn"
+            `Quick test_instance_churn;
+          Alcotest.test_case "totals survive collected families" `Quick
+            test_totals_survive_collection;
           Alcotest.test_case "LRU keeps a standing ruleset's instances" `Quick
             test_lru_keeps_standing_ruleset ] );
       ("differential", qsuite);
@@ -527,6 +588,8 @@ let () =
             test_fragment_handoff;
           Alcotest.test_case "tiny budget flush-and-refill" `Quick
             test_tiny_budget_flushes;
+          Alcotest.test_case "cell budget flush-and-refill" `Quick
+            test_cell_budget_flushes;
           Alcotest.test_case "streaming resume" `Quick test_streaming_resume ] );
       ( "guards",
         [ Alcotest.test_case "mismatched plan ignored" `Quick
