@@ -127,8 +127,9 @@ let report_disagreements ~oracle rows =
 
 let compare_engines ast program data =
   let module M = Alveare_platform.Measure in
-  let x1 = Fpga.run ~cores:1 program data in
-  let x10 = Fpga.run ~cores:10 program data in
+  let overlap = Multicore.overlap_for_ast ast in
+  let x1 = Fpga.run ~cores:1 ~overlap program data in
+  let x10 = Fpga.run ~cores:10 ~overlap program data in
   (* third comparand: the derivative engine, host execution — it is a
      semantic oracle, not a priced platform, so it appears in the
      agreement report but not the timing table *)
@@ -397,9 +398,20 @@ let file_arg =
   Arg.(value & opt (some string) None
        & info [ "file" ] ~docv:"FILE" ~doc:"Input data file.")
 
+(* Core counts the modelled FPGA holds; any other value is a usage
+   error, in single-pattern and ruleset mode alike. *)
 let cores_arg =
-  Arg.(value & opt int 1
-       & info [ "cores" ] ~doc:"Core count, 1..10 (paper's FPGA limit).")
+  let max_cores = Alveare_platform.Area.max_cores () in
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= 1 && k <= max_cores -> Ok k
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected a core count in 1..%d" max_cores))
+  in
+  Arg.(value & opt (conv ~docv:"N" (parse, Format.pp_print_int)) 1
+       & info [ "cores" ] ~docv:"N"
+           ~doc:(Printf.sprintf "Core count, 1..%d (the paper's FPGA limit)."
+                   max_cores))
 
 let quiet_flag =
   Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Do not list matches.")

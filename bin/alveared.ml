@@ -71,6 +71,10 @@ let main socket tcp queue workers scan_workers cores cache_capacity
   | exception Unix.Unix_error (e, _, arg) ->
     Fmt.epr "alveared: cannot bind %s: %s@." arg (Unix.error_message e);
     1
+  | exception Invalid_argument m ->
+    (* a setting [Server.start] or [Service.create] refuses *)
+    Fmt.epr "alveared: %s@." m;
+    1
   | server ->
     if not quiet then begin
       (match addr with

@@ -100,7 +100,8 @@ let cached ?extended pattern = Compile.cached ?extended pattern
 let string_error r = Result.map_error Compile.error_message r
 
 (* The helpers run with the compiled pattern's prefilter and lazy-DFA
-   overlay family. Patterns the mid-end could not rewrite to the ISA
+   overlay family, and multi-core scans with the pattern's overlap
+   window. Patterns the mid-end could not rewrite to the ISA
    ([backend = Derivative]) are served by the derivative engine — its
    spans agree with the ISA span-for-span on everything both can run,
    so the dispatch is invisible in the results. *)
@@ -113,12 +114,10 @@ let find_all ?(cores = 1) ?workers ?extended pattern input
           | Compile.Derivative eng ->
             Alveare_derivative.Engine.find_all eng input
           | Compile.Isa | Compile.Isa_lowered ->
-            if cores = 1 then
-              Core.find_all ~prefilter:c.Compile.prefilter ~plan:c.Compile.plan
-                ?dfa:c.Compile.dfa c.Compile.program input
-            else
-              Multicore.find_all ~cores ?workers ~prefilter:c.Compile.prefilter
-                ~plan:c.Compile.plan ?dfa:c.Compile.dfa c.Compile.program input)
+            Multicore.find_all ~cores
+              ~overlap:(Multicore.overlap_for_ast c.Compile.ast) ?workers
+              ~prefilter:c.Compile.prefilter ~plan:c.Compile.plan
+              ?dfa:c.Compile.dfa c.Compile.program input)
        (cached ?extended pattern))
 
 let search ?extended pattern input : (span option, string) result =
@@ -146,7 +145,9 @@ let simulate ?(cores = 1) pattern input
     (Result.map
        (fun (c : compiled) ->
           let o =
-            Platform.Alveare_fpga.run ~cores c.Compile.program input
+            Platform.Alveare_fpga.run ~cores
+              ~overlap:(Multicore.overlap_for_ast c.Compile.ast)
+              ~plan:c.Compile.plan ?dfa:c.Compile.dfa c.Compile.program input
           in
           ( o.Alveare_platform.Alveare_fpga.result.Multicore.matches,
             o.Alveare_platform.Alveare_fpga.run.Alveare_platform.Measure.seconds ))

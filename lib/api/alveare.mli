@@ -116,8 +116,10 @@ val find_all :
   ?cores:int -> ?workers:int -> ?extended:bool -> string -> string ->
   (span list, string) result
 (** [find_all pattern input] — all non-overlapping matches on the
-    simulated DSA ([cores] > 1 uses the multi-core scale-out; [workers]
-    parallelises the simulated cores on host domains). The scan skips
+    simulated DSA ([cores] > 1 uses the multi-core scale-out, with the
+    overlap window sized from the pattern by
+    {!Multicore.overlap_for_ast}; [workers] parallelises the simulated
+    cores on host domains). The scan skips
     start offsets the compiled pattern's first byte-set rules out and
     executes backtracking-free fragments on the lazy-DFA overlay
     ({!Alveare_arch.Dfa_overlay}); neither changes the spans.
@@ -139,4 +141,7 @@ val disassemble : string -> (string, string) result
 val simulate :
   ?cores:int -> string -> string -> (span list * float, string) result
 (** Matches plus the modelled wall-clock seconds on the paper's FPGA
-    configuration (300 MHz + PYNQ dispatch). *)
+    configuration (300 MHz + PYNQ dispatch). Runs the compiled plan and
+    lazy-DFA overlay with the pattern's overlap window, as [find_all]
+    does, but without the prefilter: the modelled cycles are those of
+    the dense scan. *)

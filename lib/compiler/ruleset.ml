@@ -192,67 +192,35 @@ type report = {
   prefiltered_rules : int;       (* rules scanned via the AC candidate path *)
 }
 
-(* Covered rule at [cores > 1]: mirror [Multicore.run]'s slicing (same
-   regions, same ownership filter, same dedup, wall cycles = max over
-   cores), but attempt only at the rule's global candidate offsets
-   restricted to each core's region and rebased into region
-   coordinates. Any true match inside a region carries its literal
-   inside the region, so the global bucket contains its start — hits
-   equal the unfiltered multi-core scan. Runs sequentially: the caller
-   already fans rules out over the host pool. *)
-let scan_covered_multicore ~cores (r : compiled_rule)
-    (cands : int array) (input : string) =
-  let n = String.length input in
-  let slice = (n + cores - 1) / cores in
-  let per_core =
-    Array.init cores (fun k ->
-        let slice_start = min n (k * slice) in
-        let slice_stop = min n ((k + 1) * slice) in
-        let region_stop = min n (slice_stop + r.overlap) in
-        let stats = Core.fresh_stats () in
-        let owned =
-          if slice_start >= region_stop && not (slice_start = n && k = 0)
-          then []
-          else begin
-            let region =
-              String.sub input slice_start (region_stop - slice_start)
-            in
-            let local =
-              Array.fold_right
-                (fun c acc ->
-                   if c >= slice_start && c < region_stop then
-                     (c - slice_start) :: acc
-                   else acc)
-                cands []
-              |> Array.of_list
-            in
-            Core.find_all_candidates ~stats ~candidates:local
-              ~plan:r.compiled.Compile.plan ?dfa:r.compiled.Compile.dfa
-              r.compiled.Compile.program region
-            |> List.filter_map (fun (s : Span.span) ->
-                let start = s.Span.start + slice_start in
-                let stop = s.Span.stop + slice_start in
-                if start < slice_stop || (start = n && slice_stop = n) then
-                  Some { Span.start; stop }
-                else None)
-          end
-        in
-        (owned, stats))
+(* What one group's scan contributes to the report, for each of its
+   rules: the spans and the counters the report sums, not the whole
+   stats record, which would stay live until the last group is done. *)
+type rule_scan = {
+  wall_cycles : int;
+  spans : Span.span list;
+  attempts : int;
+  offsets_scanned : int;
+  offsets_pruned : int;
+  via_ac : bool;  (* scanned at its Aho-Corasick candidates *)
+}
+
+let rule_scan ~via_ac wall_cycles spans (s : Core.stats) =
+  { wall_cycles; spans; attempts = s.Core.attempts;
+    offsets_scanned = s.Core.offsets_scanned;
+    offsets_pruned = s.Core.offsets_pruned; via_ac }
+
+(* One rule's scan after the sweep, from either candidate source: one
+   [Multicore.run] with the rule's overlap window. *)
+let run_rule ~cores ?candidates ?prefilter r input =
+  let c = r.compiled in
+  let res =
+    Multicore.run ?candidates ?prefilter ~plan:c.Compile.plan
+      ?dfa:c.Compile.dfa
+      ~config:(Multicore.config ~cores ~overlap:r.overlap ())
+      c.Compile.program input
   in
-  let matches =
-    Array.to_list per_core
-    |> List.concat_map fst
-    |> List.sort_uniq compare
-  in
-  let cycles =
-    Array.fold_left (fun acc (_, s) -> max acc s.Core.cycles) 0 per_core
-  in
-  let sum f = Array.fold_left (fun acc (_, s) -> acc + f s) 0 per_core in
-  ( cycles, matches,
-    ( sum (fun s -> s.Core.attempts),
-      sum (fun s -> s.Core.offsets_scanned),
-      sum (fun s -> s.Core.offsets_pruned) ),
-    true )
+  rule_scan ~via_ac:(Option.is_some candidates) res.Multicore.cycles
+    res.Multicore.matches res.Multicore.totals
 
 (* Scan the stream through every rule. Rules run one after another on the
    DSA (the instruction memory holds one compiled RE at a time, §6), so
@@ -273,10 +241,12 @@ let scan_covered_multicore ~cores (r : compiled_rule)
    first-set candidates into per-group scan cursors; AC-covered groups
    then attempt only at their candidate offsets. Multi-core scans slice
    the AC pass across workers instead, and every other rule scans with
-   its first-set skip loop. Hits are identical to the unfiltered scan
-   either way. *)
+   its first-set skip loop. Every post-sweep scan is one
+   [Multicore.run] with the rule's overlap window, at any core count.
+   Hits are identical to the unfiltered scan either way. *)
 let scan ?(cores = 1) ?workers ?(prefilter = true) (t : t) (input : string)
     : report =
+  if cores < 1 then invalid_arg "Ruleset.scan: cores must be positive";
   let outcome =
     if prefilter && cores = 1 then Array.get (Combined.scan t.fused input)
     else
@@ -293,39 +263,6 @@ let scan ?(cores = 1) ?workers ?(prefilter = true) (t : t) (input : string)
   in
   let group = Combined.representative t.fused in
   let scan_group i r =
-    let from_candidates cands =
-      if cores = 1 then begin
-        let stats = Core.fresh_stats () in
-        let matches =
-          Core.find_all_candidates ~stats ~candidates:cands
-            ~plan:r.compiled.Compile.plan ?dfa:r.compiled.Compile.dfa
-            r.compiled.Compile.program input
-        in
-        ( stats.Core.cycles, matches,
-          (stats.Core.attempts, stats.Core.offsets_scanned,
-           stats.Core.offsets_pruned),
-          true )
-      end
-      else scan_covered_multicore ~cores r cands input
-    in
-    let residual () =
-      let config = Multicore.config ~cores ~overlap:r.overlap () in
-      let pf = if prefilter then Some r.compiled.Compile.prefilter else None in
-      let result =
-        Multicore.run ?prefilter:pf ~plan:r.compiled.Compile.plan
-          ?dfa:r.compiled.Compile.dfa ~config r.compiled.Compile.program input
-      in
-      let sum f =
-        Array.fold_left
-          (fun acc c -> acc + f c.Multicore.stats)
-          0 result.Multicore.per_core
-      in
-      ( result.Multicore.cycles, result.Multicore.matches,
-        ( sum (fun s -> s.Core.attempts),
-          sum (fun s -> s.Core.offsets_scanned),
-          sum (fun s -> s.Core.offsets_pruned) ),
-        false )
-    in
     match r.compiled.Compile.backend with
     | Compile.Derivative eng ->
       (* extended rules the mid-end could not rewrite run on the host
@@ -333,66 +270,48 @@ let scan ?(cores = 1) ?workers ?(prefilter = true) (t : t) (input : string)
          contribute hits but no modelled cycles or attempt counters
          (they are never AC-covered — extended patterns yield no usable
          literals) *)
-      (0, Alveare_derivative.Engine.find_all eng input, (0, 0, 0), false)
+      { wall_cycles = 0; spans = Alveare_derivative.Engine.find_all eng input;
+        attempts = 0; offsets_scanned = 0; offsets_pruned = 0;
+        via_ac = false }
     | Compile.Isa | Compile.Isa_lowered ->
       (match outcome i with
        | Combined.Scanned (stats, matches) ->
-         ( stats.Core.cycles, matches,
-           (stats.Core.attempts, stats.Core.offsets_scanned,
-            stats.Core.offsets_pruned),
-           false )
-       | Combined.Candidates cands -> from_candidates cands
-       | Combined.Residual -> residual ())
+         rule_scan ~via_ac:false stats.Core.cycles matches stats
+       | Combined.Candidates candidates -> run_rule ~cores ~candidates r input
+       | Combined.Residual ->
+         run_rule ~cores
+           ?prefilter:
+             (if prefilter then Some r.compiled.Compile.prefilter else None)
+           r input)
   in
   let group_results =
-    Alveare_exec.Pool.map ?workers
-      (fun (i, r) -> if group i = i then Some (scan_group i r) else None)
-      (Array.mapi (fun i r -> (i, r)) t.rules)
+    Alveare_exec.Pool.init ?workers (Array.length t.rules) (fun i ->
+        if group i = i then Some (scan_group i t.rules.(i)) else None)
   in
-  let per_rule_results =
-    Array.mapi
-      (fun i r ->
-         match group_results.(group i) with
-         | Some (cycles, matches, counters, ac) ->
-           (r.rule, cycles, matches, counters, ac)
-         | None -> assert false)
-      t.rules
+  (* every rule takes its group's result *)
+  let per_rule =
+    Array.mapi (fun i r -> (r.rule, Option.get group_results.(group i))) t.rules
   in
-  let hits =
-    Array.to_list per_rule_results
-    |> List.concat_map (fun (rule, _, matches, _, _) ->
-        List.map (fun span -> { hit_rule = rule; span }) matches)
-  in
-  let total =
-    Array.fold_left
-      (fun acc (_, cycles, _, _, _) -> acc + cycles)
-      0 per_rule_results
-  in
-  let sum_stat k =
-    Array.fold_left
-      (fun acc (_, _, _, stats, _) -> acc + k stats)
-      0 per_rule_results
-  in
+  let sum f = Array.fold_left (fun acc (_, g) -> acc + f g) 0 per_rule in
+  let total = sum (fun g -> g.wall_cycles) in
   let seconds =
     (float_of_int total /. Alveare_platform.Calibration.alveare_clock_hz)
     +. (float_of_int (size t)
         *. Alveare_platform.Calibration.alveare_job_overhead_s)
   in
-  { hits;
+  { hits =
+      Array.to_list per_rule
+      |> List.concat_map (fun (rule, g) ->
+          List.map (fun span -> { hit_rule = rule; span }) g.spans);
     total_wall_cycles = total;
     seconds;
     per_rule_cycles =
       Array.to_list
-        (Array.map
-           (fun (rule, cycles, _, _, _) -> (rule.id, cycles))
-           per_rule_results);
-    total_attempts = sum_stat (fun (a, _, _) -> a);
-    total_offsets_scanned = sum_stat (fun (_, s, _) -> s);
-    total_offsets_pruned = sum_stat (fun (_, _, p) -> p);
-    prefiltered_rules =
-      Array.fold_left
-        (fun acc (_, _, _, _, ac) -> if ac then acc + 1 else acc)
-        0 per_rule_results }
+        (Array.map (fun (r, g) -> (r.id, g.wall_cycles)) per_rule);
+    total_attempts = sum (fun g -> g.attempts);
+    total_offsets_scanned = sum (fun g -> g.offsets_scanned);
+    total_offsets_pruned = sum (fun g -> g.offsets_pruned);
+    prefiltered_rules = sum (fun g -> Bool.to_int g.via_ac) }
 
 let hits_for report id =
   List.filter (fun h -> h.hit_rule.id = id) report.hits

@@ -98,8 +98,11 @@ type report = {
 val scan :
   ?cores:int -> ?workers:int -> ?prefilter:bool -> t -> string -> report
 (** Rules run sequentially on the DSA (one compiled RE in instruction
-    memory at a time); [cores] parallelises each rule over the stream on
-    the simulated hardware. [workers] parallelises the host-side
+    memory at a time); [cores] (default 1; [Invalid_argument] below 1)
+    parallelises each rule over the stream on the simulated hardware:
+    every rule's scan after the sweep is one
+    {!Alveare_multicore.Multicore.run} with the rule's [overlap]
+    window, at any core count. [workers] parallelises the host-side
     simulation of the independent per-rule runs ({!Alveare_exec.Pool});
     the report — hits, per-rule cycles, modelled seconds — is identical
     to the sequential scan for any value.
@@ -117,7 +120,9 @@ val scan :
     and the merged first-set dispatch table — and rules covered by the
     literal {!index} then attempt only at their candidate offsets. With
     [cores > 1] the automaton pass is sliced across workers and merged
-    instead, and every other rule scans with its first-set prefilter.
+    instead; each covered rule runs [Multicore.run ~candidates], every
+    core attempting at the candidates inside its region, and every
+    other rule scans with its first-set prefilter.
     Hits are identical with prefiltering on or off — only
     attempts/cycles change. The report is bit-identical to a rule-by-rule
     scan; the fused-sweep differential battery pins this against the

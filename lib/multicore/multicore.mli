@@ -3,7 +3,10 @@
     are attributed to the core owning their start offset; each core scans
     [overlap] bytes past its slice so boundary matches complete. Matches
     longer than the overlap window can straddle slices and be truncated —
-    the inherent approximation of the paper's divide-and-conquer. *)
+    the inherent approximation of the paper's divide-and-conquer; size
+    the window from the pattern with {!overlap_for_ast}. {!run} is the
+    one place that cuts an input into core regions, at every core
+    count. *)
 
 module Core = Alveare_arch.Core
 module Span = Alveare_engine.Semantics
@@ -32,12 +35,15 @@ type core_result = {
 type result = {
   matches : Span.span list;   (** deduplicated, sorted *)
   cycles : int;               (** wall-clock = max over cores *)
-  total_cycles : int;         (** sum over cores *)
+  totals : Core.stats;
+      (** every counter summed over cores, except [max_stack_depth]:
+          the deepest core's *)
   per_core : core_result array;
 }
 
 val run :
   ?workers:int -> ?prefilter:Alveare_prefilter.Prefilter.t ->
+  ?candidates:int array ->
   ?plan:Alveare_arch.Plan.t -> ?dfa:Alveare_arch.Dfa_overlay.family ->
   config:config ->
   Alveare_isa.Program.t -> string -> result
@@ -46,13 +52,24 @@ val run :
     run for any value. Default 1 = sequential. [prefilter] applies the
     first-set skip loop inside every core's slice scan (sound: the test
     is per-byte and position-independent); matches are unchanged.
+    [candidates] are sorted global start offsets (e.g. a ruleset's
+    Aho-Corasick candidates): each core attempts only at those inside
+    its region, rebased, through {!Alveare_arch.Core.find_all_candidates};
+    the matches equal the unrestricted scan's whenever the array holds
+    every true match start. Giving both [prefilter] and [candidates]
+    raises [Invalid_argument].
     [plan] supplies a pre-decoded execution plan (e.g. from
     {!Alveare_compiler}'s [compiled.plan]); without one, the program is
     validated and lowered once per [run], never per slice. Plans are
     immutable and shared across worker domains. [dfa] engages the
     lazy-DFA overlay inside every slice scan (must match [plan], as in
     {!Alveare_arch.Core}); the family is domain-shareable — each worker
-    domain lazily materializes its own transition table. *)
+    domain lazily materializes its own transition table.
+
+    A one-core run scans the input in place, with no copy, filter or
+    pool task: its matches, [cycles] and stats are those of the direct
+    {!Alveare_arch.Core} call, and [totals] is that core's own stats
+    record. *)
 
 val find_all :
   ?cores:int -> ?overlap:int -> ?core_config:Core.config -> ?workers:int ->

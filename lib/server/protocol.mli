@@ -55,7 +55,10 @@ type scan_stats = {
   attempts : int;
   offsets_scanned : int;
   offsets_pruned : int;
-  cycles : int;  (** simulated DSA cycles *)
+  cycles : int;
+      (** simulated DSA wall cycles: at [cores > 1] the slowest core's,
+          not the sum over cores — the figure a one-rule ruleset scan
+          and [alveare_run] report *)
 }
 
 type error_code =

@@ -8,6 +8,7 @@
 module Compile = Alveare_compiler.Compile
 module Ruleset = Alveare_compiler.Ruleset
 module Core = Alveare_arch.Core
+module Multicore = Alveare_multicore.Multicore
 module Lint = Alveare_analysis.Lint
 module Ambiguity = Alveare_analysis.Ambiguity
 module Pool = Alveare_exec.Pool
@@ -56,6 +57,7 @@ type t = {
 }
 
 let create ?(config = default_config) metrics =
+  if config.cores < 1 then invalid_arg "Service.create: cores < 1";
   let rulesets = Cache.create ~capacity:rulesets_cached () in
   Metrics.register_gauge metrics "exec/pool-queue-depth" (fun () ->
       Float.of_int (Pool.queue_depth ()));
@@ -128,12 +130,6 @@ let lint_diag (d : Lint.diagnostic) : Protocol.lint_diag =
     left = d.Lint.left;
     right = d.Lint.right;
     message = d.Lint.message }
-
-let scan_stats (s : Core.stats) : Protocol.scan_stats =
-  { attempts = s.Core.attempts;
-    offsets_scanned = s.Core.offsets_scanned;
-    offsets_pruned = s.Core.offsets_pruned;
-    cycles = s.Core.cycles }
 
 (* Admission verdict for one analysed pattern: [Some (metric, why)]
    when the precise analysis says the worst case is non-linear and the
@@ -223,47 +219,37 @@ let handle_scan t ~id ~pattern ~input ~allow_risky =
       compile_pattern t ~id pattern (fun c ->
           gate t ~id ~allow_risky c (fun c ->
               let t0 = Unix.gettimeofday () in
-              let stats = Core.fresh_stats () in
-              let spans =
+              let spans, s =
                 match c.Compile.backend with
                 | Compile.Derivative eng ->
                   (* extended pattern served by the derivative engine:
                      host execution, so no DSA cycle/attempt counters.
                      The admission gate admitted it as a matter of
-                     policy — the engine is worst-case linear per
-                     start position, so there is no backtracking blowup
-                     for the gate to refuse. *)
-                  Alveare_derivative.Engine.find_all eng input
+                     policy — the engine is worst-case linear per start
+                     position, so there is no backtracking blowup for
+                     the gate to refuse. *)
+                  ( Alveare_derivative.Engine.find_all eng input,
+                    { Protocol.attempts = 0; offsets_scanned = 0;
+                      offsets_pruned = 0; cycles = 0 } )
                 | Compile.Isa | Compile.Isa_lowered ->
-                if t.config.cores = 1 then
-                  Core.find_all ~stats ~prefilter:c.Compile.prefilter
-                    ~plan:c.Compile.plan ?dfa:c.Compile.dfa c.Compile.program
-                    input
-                else
-                  (* multicore scale-out keeps its own per-core stats;
-                     aggregate by summing into the fresh record *)
+                  (* the overlap window comes from the pattern, as a
+                     ruleset rule's does *)
                   let r =
-                    Alveare_multicore.Multicore.run
+                    Multicore.run ~prefilter:c.Compile.prefilter
+                      ~plan:c.Compile.plan ?dfa:c.Compile.dfa
                       ~config:
-                        (Alveare_multicore.Multicore.config
-                           ~cores:t.config.cores ())
-                      ~prefilter:c.Compile.prefilter ~plan:c.Compile.plan
-                      ?dfa:c.Compile.dfa c.Compile.program input
+                        (Multicore.config ~cores:t.config.cores
+                           ~overlap:(Multicore.overlap_for_ast c.Compile.ast)
+                           ())
+                      c.Compile.program input
                   in
-                  Array.iter
-                    (fun (cs : Alveare_multicore.Multicore.core_result) ->
-                      let s = cs.Alveare_multicore.Multicore.stats in
-                      stats.Core.attempts <-
-                        stats.Core.attempts + s.Core.attempts;
-                      stats.Core.offsets_scanned <-
-                        stats.Core.offsets_scanned + s.Core.offsets_scanned;
-                      stats.Core.offsets_pruned <-
-                        stats.Core.offsets_pruned + s.Core.offsets_pruned;
-                      stats.Core.cycles <- stats.Core.cycles + s.Core.cycles)
-                    r.Alveare_multicore.Multicore.per_core;
-                  r.Alveare_multicore.Multicore.matches
+                  let totals = r.Multicore.totals in
+                  ( r.Multicore.matches,
+                    { Protocol.attempts = totals.Core.attempts;
+                      offsets_scanned = totals.Core.offsets_scanned;
+                      offsets_pruned = totals.Core.offsets_pruned;
+                      cycles = r.Multicore.cycles } )
               in
-              let s = scan_stats stats in
               observe_scan t ~histogram:"latency/scan" ~t0 s;
               Protocol.Matches
                 { id;

@@ -19,7 +19,12 @@ type config = {
       (** compiled-pattern LRU shared by every request *)
   scan_workers : int;
       (** host domains for per-rule ruleset scan fan-out (1 = in-line) *)
-  cores : int;  (** simulated DSA cores per scan *)
+  cores : int;
+      (** simulated DSA cores per scan, at least 1. Each [Scan] is one
+          {!Alveare_multicore.Multicore.run} whose overlap window comes
+          from the pattern ({!Alveare_multicore.Multicore.overlap_for_ast},
+          as a ruleset rule's), and its reply's [cycles] are the wall
+          cycles: the slowest core's. *)
   lint_gate : bool;
       (** admission gate master switch: when on, refuse patterns the
           precise analysis proves [Exponential] (and [Polynomial]
@@ -53,7 +58,8 @@ val default_config : config
 type t
 
 val create : ?config:config -> Metrics.t -> t
-(** Registers the serving callback gauges on the given registry:
+(** Raises [Invalid_argument] when [config.cores < 1]. Registers the
+    serving callback gauges on the given registry:
     [exec/pool-queue-depth] ({!Alveare_exec.Pool.queue_depth}), the
     compile-cache gauges ([cache/size], [cache/hits], [cache/misses],
     [cache/evictions], [cache/hit-rate]), the built-ruleset cache

@@ -110,7 +110,7 @@ let test_pool_queue_depth () =
 
 (* --- Determinism battery (qcheck) -------------------------------------- *)
 
-(* Multicore.run: full result record (matches, wall/total cycles, every
+(* Multicore.run: full result record (matches, wall cycles, totals, every
    per-core stat) identical for all worker counts. *)
 let prop_multicore_deterministic =
   QCheck2.Test.make ~name:"multicore parallel = sequential" ~count:40

@@ -1,6 +1,6 @@
 (* Multi-core scale-out tests: result equivalence with a single core,
    overlap-window semantics at slice boundaries, wall-clock accounting,
-   and configuration validation. *)
+   the candidate-offset source, and configuration validation. *)
 
 module Core = Alveare_arch.Core
 module Multicore = Alveare_multicore.Multicore
@@ -64,7 +64,7 @@ let test_wall_clock_is_max () =
   in
   check_int "wall = max" (List.fold_left max 0 per_core_cycles) mc.Multicore.cycles;
   check_int "total = sum" (List.fold_left ( + ) 0 per_core_cycles)
-    mc.Multicore.total_cycles
+    mc.Multicore.totals.Core.cycles
 
 let test_scaling_reduces_wall_cycles () =
   let program = compile "[ab]{2,6}c" in
@@ -93,6 +93,168 @@ let test_more_cores_than_bytes () =
   let matches = Multicore.find_all ~cores:10 ~overlap:4 program "ab" in
   check "tiny input" true (matches = [ { S.start = 0; stop = 2 } ])
 
+(* --- Candidate source ----------------------------------------------------- *)
+
+(* The ten counters of a stats record, named. *)
+let counters (s : Core.stats) =
+  [ ("cycles", s.Core.cycles); ("instructions", s.Core.instructions);
+    ("rollbacks", s.Core.rollbacks); ("stack_pushes", s.Core.stack_pushes);
+    ("max_stack_depth", s.Core.max_stack_depth);
+    ("scan_cycles", s.Core.scan_cycles); ("attempts", s.Core.attempts);
+    ("offsets_scanned", s.Core.offsets_scanned);
+    ("offsets_pruned", s.Core.offsets_pruned);
+    ("match_count", s.Core.match_count) ]
+
+let check_counters label expected actual =
+  List.iter2
+    (fun (name, e) (_, a) -> check_int (label ^ ": " ^ name) e a)
+    (counters expected) (counters actual)
+
+(* Every match start of the dense one-core scan, plus every 37th
+   offset: a superset of the true starts, sorted and deduplicated. *)
+let candidates_of ~n spans =
+  List.sort_uniq compare
+    (List.map (fun (s : S.span) -> s.S.start) spans
+     @ List.init ((n / 37) + 1) (fun i -> i * 37))
+  |> Array.of_list
+
+let candidate_cases =
+  [ ("ab+c", field ~size:4096 [ (10, "abbc"); (1030, "abc"); (3000, "abbbbc") ]);
+    ("(ab|cd)+x", field ~size:3000 [ (99, "ababx"); (1499, "cdx"); (2990, "abx") ]);
+    ("z*", "zzqzzzqqz") ]
+
+let test_candidates_one_core () =
+  List.iter
+    (fun (pattern, input) ->
+       let c = Compile.compile_exn pattern in
+       let candidates =
+         candidates_of ~n:(String.length input)
+           (Core.find_all c.Compile.program input)
+       in
+       let stats = Core.fresh_stats () in
+       let direct =
+         Core.find_all_candidates ~stats ~candidates ~plan:c.Compile.plan
+           ?dfa:c.Compile.dfa c.Compile.program input
+       in
+       let mc =
+         Multicore.run ~candidates ~plan:c.Compile.plan ?dfa:c.Compile.dfa
+           ~config:(Multicore.config ~cores:1 ())
+           c.Compile.program input
+       in
+       check (pattern ^ ": spans") true (mc.Multicore.matches = direct);
+       check_int (pattern ^ ": wall cycles") stats.Core.cycles
+         mc.Multicore.cycles;
+       check_counters (pattern ^ " totals") stats mc.Multicore.totals;
+       check_counters (pattern ^ " core 0") stats
+         mc.Multicore.per_core.(0).Multicore.stats)
+    candidate_cases
+
+(* "a+b" has no leading byte test and fails every attempt over [a]s,
+   so a core attempts exactly at the candidates inside its region:
+   [slice_start, slice_stop + overlap), and the end of input for the
+   region that reaches it. *)
+let test_candidates_stay_in_region () =
+  let program = compile "a+b" in
+  let n = 400 and overlap = 16 in
+  let input = String.make n 'a' in
+  let candidates =
+    [| -9; -1; 0; 5; 99; 100; 101; 115; 116; 133; 134; 149; 150; 199; 200;
+       266; 267; 299; 300; 301; 399; 400; 401; 4000 |]
+  in
+  List.iter
+    (fun cores ->
+       let mc =
+         Multicore.run ~candidates ~config:(Multicore.config ~cores ~overlap ())
+           program input
+       in
+       Array.iteri
+         (fun k (c : Multicore.core_result) ->
+            let region_stop = min n (c.Multicore.slice_stop + overlap) in
+            let in_region o =
+              o >= c.Multicore.slice_start
+              && (o < region_stop || (o = n && region_stop = n))
+            in
+            let inside =
+              Array.fold_left
+                (fun acc o -> if in_region o then acc + 1 else acc)
+                0 candidates
+            in
+            check_int
+              (Printf.sprintf "%d cores, core %d attempts" cores k)
+              inside c.Multicore.stats.Core.attempts)
+         mc.Multicore.per_core;
+       check (Printf.sprintf "%d cores: no match" cores) true
+         (mc.Multicore.matches = []))
+    [ 2; 3; 4 ]
+
+let test_candidates_multi_core () =
+  List.iter
+    (fun (pattern, input) ->
+       let c = Compile.compile_exn pattern in
+       let single = Core.find_all c.Compile.program input in
+       let candidates = candidates_of ~n:(String.length input) single in
+       List.iter
+         (fun cores ->
+            let config = Multicore.config ~cores ~overlap:64 () in
+            let mc =
+              Multicore.run ~candidates ~plan:c.Compile.plan
+                ?dfa:c.Compile.dfa ~config c.Compile.program input
+            in
+            check
+              (Printf.sprintf "%s on %d cores = one core" pattern cores)
+              true
+              (mc.Multicore.matches = single))
+         [ 2; 3; 4 ])
+    candidate_cases
+
+let test_candidates_exclude_prefilter () =
+  let c = Compile.compile_exn "ab" in
+  check "candidates with a prefilter rejected" true
+    (try
+       ignore
+         (Multicore.run ~candidates:[| 0 |] ~prefilter:c.Compile.prefilter
+            ~config:(Multicore.config ()) c.Compile.program "ab");
+       false
+     with Invalid_argument _ -> true)
+
+(* [totals] is the per-core sum of every counter (the deepest core's
+   stack), on both candidate sources. *)
+let test_totals_are_sums () =
+  let c = Compile.compile_exn "(ab|cd)+x" in
+  let input = field ~size:3000 [ (99, "ababx"); (1499, "cdx"); (2990, "abx") ] in
+  let candidates = candidates_of ~n:3000 (Core.find_all c.Compile.program input) in
+  List.iter
+    (fun (label, run) ->
+       List.iter
+         (fun cores ->
+            let mc : Multicore.result =
+              run ~config:(Multicore.config ~cores ~overlap:32 ())
+            in
+            let per_core =
+              Array.to_list
+                (Array.map
+                   (fun (k : Multicore.core_result) -> counters k.Multicore.stats)
+                   mc.Multicore.per_core)
+            in
+            List.iteri
+              (fun i (name, total) ->
+                 let values = List.map (fun l -> snd (List.nth l i)) per_core in
+                 let expected =
+                   if name = "max_stack_depth" then List.fold_left max 0 values
+                   else List.fold_left ( + ) 0 values
+                 in
+                 check_int
+                   (Printf.sprintf "%s, %d cores: %s" label cores name)
+                   expected total)
+              (counters mc.Multicore.totals))
+         [ 1; 2; 3; 4 ])
+    [ ("prefilter",
+       fun ~config ->
+         Multicore.run ~prefilter:c.Compile.prefilter ~config
+           c.Compile.program input);
+      ("candidates",
+       fun ~config -> Multicore.run ~candidates ~config c.Compile.program input) ]
+
 let test_config_validation () =
   check "zero cores rejected" true
     (try ignore (Multicore.config ~cores:0 ()); false
@@ -120,6 +282,17 @@ let () =
         [ Alcotest.test_case "wall clock is max" `Quick test_wall_clock_is_max;
           Alcotest.test_case "scaling reduces wall cycles" `Quick
             test_scaling_reduces_wall_cycles ] );
+      ( "candidates",
+        [ Alcotest.test_case "one core = find_all_candidates" `Quick
+            test_candidates_one_core;
+          Alcotest.test_case "attempts stay in the region" `Quick
+            test_candidates_stay_in_region;
+          Alcotest.test_case "2-4 cores = one core" `Quick
+            test_candidates_multi_core;
+          Alcotest.test_case "exclusive with the prefilter" `Quick
+            test_candidates_exclude_prefilter;
+          Alcotest.test_case "totals are per-core sums" `Quick
+            test_totals_are_sums ] );
       ( "edges",
         [ Alcotest.test_case "empty input" `Quick test_empty_input;
           Alcotest.test_case "more cores than bytes" `Quick

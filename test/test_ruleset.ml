@@ -64,6 +64,15 @@ let test_scan_multicore_equivalence () =
   check "4 cores no slower" true
     (r4.Ruleset.total_wall_cycles <= r1.Ruleset.total_wall_cycles)
 
+let test_scan_cores_validated () =
+  let t = Ruleset.compile_exn specs in
+  List.iter
+    (fun cores ->
+       check (Printf.sprintf "cores = %d refused" cores) true
+         (try ignore (Ruleset.scan ~cores t "alert"); false
+          with Invalid_argument _ -> true))
+    [ 0; -1 ]
+
 let () =
   Alcotest.run "ruleset"
     [ ( "compile",
@@ -73,4 +82,6 @@ let () =
       ( "scan",
         [ Alcotest.test_case "hits" `Quick test_scan_hits;
           Alcotest.test_case "multicore equivalence" `Quick
-            test_scan_multicore_equivalence ] ) ]
+            test_scan_multicore_equivalence;
+          Alcotest.test_case "core count validated" `Quick
+            test_scan_cores_validated ] ) ]

@@ -646,6 +646,95 @@ let test_ruleset_cache_concurrent () =
       check "the standing ruleset was kept" true (gauge "size" >= 1.0);
       check "and reused" true (gauge "hits" >= 40.0))
 
+(* --- Multi-core scans -------------------------------------------------------- *)
+
+(* A 600-byte match of an unbounded pattern whose start lies in the
+   first half: at 2 or 4 cores it straddles a slice boundary by more
+   than the fixed 256-byte default window, so only a window sized from
+   the pattern completes it. *)
+let straddle_pattern = "a[^q]*b"
+
+let straddle_input =
+  String.make 700 'q' ^ "a" ^ String.make 598 'x' ^ "b" ^ String.make 700 'q'
+
+let multicore_service cores =
+  Service.create
+    ~config:{ Service.default_config with Service.cores }
+    (Metrics.create ())
+
+let test_multicore_window () =
+  List.iter
+    (fun cores ->
+       match
+         Service.handle (multicore_service cores)
+           (P.Scan
+              { id = 1; pattern = straddle_pattern; input = straddle_input;
+                deadline_ms = 0; allow_risky = false })
+       with
+       | P.Matches { spans; _ } ->
+         check (Printf.sprintf "Scan at %d cores" cores) true
+           (spans = [ (700, 1300) ])
+       | r -> fail_resp "straddling scan" r)
+    [ 2; 4 ];
+  let expected = [ { Alveare.start = 700; stop = 1300 } ] in
+  (match Alveare.find_all ~cores:2 straddle_pattern straddle_input with
+   | Ok spans -> check "Alveare.find_all ~cores:2" true (spans = expected)
+   | Error e -> Alcotest.fail e);
+  match Alveare.simulate ~cores:2 straddle_pattern straddle_input with
+  | Ok (spans, _) -> check "Alveare.simulate ~cores:2" true (spans = expected)
+  | Error e -> Alcotest.fail e
+
+(* A [Scan] and the one-rule [Ruleset_scan] of the same pattern report
+   the same stats at every core count: [cycles] is the wall figure
+   (the slowest core's) on both. The pattern's one usable literal is
+   its first byte, so the ruleset's literal candidates and the scan's
+   first-set candidates are the same offsets. The second input holds
+   64 short matches, none near a window's length. *)
+let test_multicore_scan_stats () =
+  let short_matches =
+    String.concat ""
+      (List.init 64 (fun i -> String.make (i mod 7) 'q' ^ "axb" ^ "yyyy"))
+  in
+  List.iter
+    (fun (name, input, cores) ->
+       let svc = multicore_service cores in
+       let scan =
+         Service.handle svc
+           (P.Scan
+              { id = 1; pattern = straddle_pattern; input; deadline_ms = 0;
+                allow_risky = false })
+       in
+       let ruleset =
+         Service.handle svc
+           (ruleset_request [ ("r", straddle_pattern) ] input)
+       in
+       match scan, ruleset with
+       | P.Matches { stats = a; spans; _ },
+         P.Ruleset_matches { stats = b; hits; _ } ->
+         let label = Printf.sprintf "%s, %d cores" name cores in
+         check (label ^ ": spans") true
+           (spans = List.map (fun (_, _, s, e) -> (s, e)) hits);
+         check_int (label ^ ": attempts") b.P.attempts a.P.attempts;
+         check_int (label ^ ": offsets scanned") b.P.offsets_scanned
+           a.P.offsets_scanned;
+         check_int (label ^ ": offsets pruned") b.P.offsets_pruned
+           a.P.offsets_pruned;
+         check_int (label ^ ": cycles") b.P.cycles a.P.cycles
+       | r, _ -> fail_resp "scan and ruleset scan" r)
+    (List.concat_map
+       (fun cores ->
+          [ ("short matches", short_matches, cores);
+            ("straddle", straddle_input, cores) ])
+       [ 1; 2; 4 ])
+
+let test_cores_validated () =
+  List.iter
+    (fun cores ->
+       check (Printf.sprintf "cores = %d refused" cores) true
+         (try ignore (multicore_service cores); false
+          with Invalid_argument _ -> true))
+    [ 0; -1 ]
+
 let () =
   Alcotest.run "server"
     [ ( "round-trip",
@@ -688,4 +777,11 @@ let () =
           Alcotest.test_case "gate runs on a hit" `Quick
             test_ruleset_cache_gate;
           Alcotest.test_case "two connections, one build" `Quick
-            test_ruleset_cache_concurrent ] ) ]
+            test_ruleset_cache_concurrent ] );
+      ( "multi-core",
+        [ Alcotest.test_case "window sized from the pattern" `Quick
+            test_multicore_window;
+          Alcotest.test_case "scan stats = one-rule ruleset stats" `Quick
+            test_multicore_scan_stats;
+          Alcotest.test_case "core count validated" `Quick
+            test_cores_validated ] ) ]
