@@ -266,23 +266,50 @@ let machine_of_spanned (s : Spanned.t) : machine =
    composite edge u --cls--> v is one simple epsilon path from u's
    continuation (or the machine start, for the root) to consuming node
    v, labelled with v's class. Distinct simple paths give distinct
-   edges — that distinctness is the ambiguity being measured. *)
+   edges — that distinctness is the ambiguity being measured.
+
+   Labels are interned: [cls] indexes [classes], the automaton's
+   distinct byte sets, so a product or cube step intersects two labels
+   with one lookup in the [meet] memo and allocates no set. *)
 type cedge = {
   eid : int;
   esrc : int; (* automaton state, [nstates] = root *)
   edst : int; (* automaton state of the consuming node entered *)
-  cls : Charset.t;
+  cls : int; (* index into [classes] *)
 }
 
 type aut = {
-  m : machine;
   nstates : int; (* consuming states; root = nstates *)
-  sym_node : int array; (* state -> machine node id *)
   spans : (int * int) array; (* state -> source span *)
   out : cedge list array; (* state (incl. root) -> composite edges *)
   reachable : bool array; (* state (incl. root) -> reachable from root *)
+  classes : Charset.t array; (* distinct edge labels *)
+  meet : int array;
+      (* [c1 * |classes| + c2] -> [pick_byte] of the intersection as a
+         byte code, [no_byte] when disjoint, [unmet] until asked *)
   budget_hit : bool;
 }
+
+let unmet = -2
+let no_byte = -1
+
+(* The preferred byte of two edge labels' intersection ([pick_byte]'s
+   order), or [no_byte] when they are disjoint; memoised per pair of
+   classes, both orders at once. *)
+let meet_byte (a : aut) c1 c2 =
+  let n = Array.length a.classes in
+  let b = a.meet.((c1 * n) + c2) in
+  if b <> unmet then b
+  else begin
+    let b =
+      match pick_byte (inter a.classes.(c1) a.classes.(c2)) with
+      | Some c -> Char.code c
+      | None -> no_byte
+    in
+    a.meet.((c1 * n) + c2) <- b;
+    a.meet.((c2 * n) + c1) <- b;
+    b
+  end
 
 let automaton (m : machine) : aut =
   let nsym = ref 0 in
@@ -299,14 +326,29 @@ let automaton (m : machine) : aut =
   if nstates > max_consuming_states then raise (Budget "too many states");
   let sym_node = Array.make (max 1 nstates) 0 in
   let spans = Array.make (max 1 nstates) (0, 0) in
+  (* node -> class id of its label, distinct labels numbered in node
+     order *)
+  let class_of_node = Array.make (Array.length m.nodes) (-1) in
+  let class_ids = Hashtbl.create 16 in
+  let classes = ref [] in
   Array.iteri
     (fun i n ->
        match n with
-       | Sym { left; right; _ } ->
+       | Sym { left; right; cls; _ } ->
          sym_node.(state_of_node.(i)) <- i;
-         spans.(state_of_node.(i)) <- (left, right)
+         spans.(state_of_node.(i)) <- (left, right);
+         let key = Charset.ranges cls in
+         class_of_node.(i) <-
+           (match Hashtbl.find_opt class_ids key with
+            | Some c -> c
+            | None ->
+              let c = Hashtbl.length class_ids in
+              Hashtbl.add class_ids key c;
+              classes := cls :: !classes;
+              c)
        | _ -> ())
     m.nodes;
+  let classes = Array.of_list (List.rev !classes) in
   let budget_hit = ref false in
   let next_eid = ref 0 in
   let total_edges = ref 0 in
@@ -319,11 +361,12 @@ let automaton (m : machine) : aut =
       else
         match m.nodes.(i) with
         | Stop -> ()
-        | Sym { cls; _ } ->
+        | Sym _ ->
           incr count;
           incr total_edges;
           let e =
-            { eid = !next_eid; esrc = src_state; edst = state_of_node.(i); cls }
+            { eid = !next_eid; esrc = src_state; edst = state_of_node.(i);
+              cls = class_of_node.(i) }
           in
           incr next_eid;
           out := e :: !out
@@ -362,7 +405,9 @@ let automaton (m : machine) : aut =
   for st = 0 to nstates do
     if not reachable.(st) then out.(st) <- []
   done;
-  { m; nstates; sym_node; spans; out; reachable; budget_hit = !budget_hit }
+  let nclasses = Array.length classes in
+  { nstates; spans; out; reachable; classes;
+    meet = Array.make (nclasses * nclasses) unmet; budget_hit = !budget_hit }
 
 (* Tarjan SCC over an adjacency function, iterative so deep machines
    cannot blow the OCaml stack. Returns the component id per node. *)
@@ -425,7 +470,6 @@ let scc_of (n : int) (succ : int -> int list) : int array * int =
 (* --- EDA: product-automaton self-intersection -------------------------- *)
 
 type product = {
-  p_of : (int, int) Hashtbl.t; (* packed (a,b) -> pidx *)
   mutable p_states : (int * int) array; (* pidx -> (a, b) *)
   mutable p_count : int;
   mutable p_adj : (int * bool * char) list array; (* pidx -> (dst, amb, byte) *)
@@ -433,16 +477,18 @@ type product = {
 
 (* BFS the reachable self-product from (root, root), recording for each
    transition whether it was taken with two distinct composite edges and
-   a byte from the label intersection. *)
+   a byte from the label intersection. States are numbered in discovery
+   order through a flat [(nstates + 1)^2] index, and that order is also
+   the BFS order, so the numbers double as the queue. Every transition
+   pair costs one unit of [product_budget], disjoint labels included. *)
 let build_product (a : aut) : product * bool =
-  let pack x y = (x * (a.nstates + 1)) + y in
+  let n1 = a.nstates + 1 in
+  let index = Array.make (n1 * n1) (-1) in
   let p =
-    { p_of = Hashtbl.create 256;
-      p_states = Array.make 256 (0, 0);
+    { p_states = Array.make 256 (0, 0);
       p_count = 0;
       p_adj = Array.make 256 [] }
   in
-  let budget_hit = ref false in
   let ensure_capacity () =
     if p.p_count = Array.length p.p_states then begin
       let bigger = Array.make (2 * p.p_count) (0, 0) in
@@ -454,47 +500,46 @@ let build_product (a : aut) : product * bool =
     end
   in
   let intern x y =
-    let key = pack x y in
-    match Hashtbl.find_opt p.p_of key with
-    | Some i -> i
-    | None ->
+    let key = (x * n1) + y in
+    let i = index.(key) in
+    if i >= 0 then i
+    else begin
       ensure_capacity ();
       let i = p.p_count in
-      Hashtbl.add p.p_of key i;
+      index.(key) <- i;
       p.p_states.(i) <- (x, y);
       p.p_count <- p.p_count + 1;
       i
+    end
   in
   let work = ref 0 in
-  let queue = Queue.create () in
-  Queue.add (intern a.nstates a.nstates) queue;
-  let expanded = Hashtbl.create 256 in
-  (try
-     while not (Queue.is_empty queue) do
-       let i = Queue.take queue in
-       if not (Hashtbl.mem expanded i) then begin
-         Hashtbl.add expanded i ();
-         let x, y = p.p_states.(i) in
-         List.iter
-           (fun e1 ->
-              List.iter
-                (fun e2 ->
-                   incr work;
-                   if !work > product_budget then raise Exit;
-                   let both = inter e1.cls e2.cls in
-                   match pick_byte both with
-                   | None -> ()
-                   | Some byte ->
-                     let j = intern e1.edst e2.edst in
-                     p.p_adj.(i) <-
-                       (j, e1.eid <> e2.eid, byte) :: p.p_adj.(i);
-                     Queue.add j queue)
-                a.out.(y))
-           a.out.(x)
-       end
-     done
-   with Exit -> budget_hit := true);
-  (p, !budget_hit)
+  ignore (intern a.nstates a.nstates);
+  let next = ref 0 in
+  let budget_hit =
+    try
+      while !next < p.p_count do
+        let i = !next in
+        incr next;
+        let x, y = p.p_states.(i) in
+        List.iter
+          (fun e1 ->
+             List.iter
+               (fun e2 ->
+                  incr work;
+                  if !work > product_budget then raise Exit;
+                  let byte = meet_byte a e1.cls e2.cls in
+                  if byte <> no_byte then begin
+                    let j = intern e1.edst e2.edst in
+                    p.p_adj.(i) <-
+                      (j, e1.eid <> e2.eid, Char.chr byte) :: p.p_adj.(i)
+                  end)
+               a.out.(y))
+          a.out.(x)
+      done;
+      false
+    with Exit -> true
+  in
+  (p, budget_hit)
 
 (* An EDA candidate: the pump anchor state and the pump word. *)
 type eda_candidate = {
@@ -634,14 +679,14 @@ let cube_pump (a : aut) (comp : int array) ~(budget : int ref) (pp : int)
             if comp.(e1.edst) = comp.(pp) then
               List.iter
                 (fun e2 ->
-                   let both = inter e1.cls e2.cls in
-                   if not (Charset.is_empty both) then
+                   if meet_byte a e1.cls e2.cls <> no_byte then
+                     let both = inter a.classes.(e1.cls) a.classes.(e2.cls) in
                      List.iter
                        (fun e3 ->
                           decr budget;
                           if !budget <= 0 then raise Exit;
                           if comp.(e3.edst) = comp.(qq) then begin
-                            match pick_byte (inter both e3.cls) with
+                            match pick_byte (inter both a.classes.(e3.cls)) with
                             | None -> ()
                             | Some byte ->
                               let key = pack e1.edst e2.edst e3.edst in
@@ -773,11 +818,11 @@ let root_path (a : aut) (target : int) : string option =
       List.iter
         (fun e ->
            if parent.(e.edst) = None then
-             match pick_byte e.cls with
-             | None -> ()
-             | Some byte ->
-               parent.(e.edst) <- Some (s, byte);
-               if e.edst = target then found := true else Queue.add e.edst queue)
+             let byte = meet_byte a e.cls e.cls in
+             if byte <> no_byte then begin
+               parent.(e.edst) <- Some (s, Char.chr byte);
+               if e.edst = target then found := true else Queue.add e.edst queue
+             end)
         a.out.(s)
     done;
     if not !found then None
@@ -854,15 +899,7 @@ let poly_pumps = (8, 16, 32)
 let no_match_pumps = [ 0; 1; 2; 3; 4; 6; 8; 12; 16; 24; 32; 48 ]
 
 let candidate_suffixes (a : aut) : string list =
-  let all =
-    Array.to_list a.sym_node
-    |> List.fold_left
-         (fun acc node ->
-            match a.m.nodes.(node) with
-            | Sym { cls; _ } -> Charset.union acc cls
-            | _ -> acc)
-         Charset.empty
-  in
+  let all = Array.fold_left Charset.union Charset.empty a.classes in
   let dead = Charset.complement ~alphabet_size:256 all in
   let dead_bytes =
     match pick_byte dead with
@@ -1046,8 +1083,8 @@ let base_classes (i : I.t) : Charset.t list =
    Loop-back edges of BOUNDED quantifiers are dropped: their counters
    admit only finitely many iterations, so they contribute finite
    ambiguity, and keeping them would fabricate unbounded pumps. *)
-let machine_of_program (program : Alveare_isa.Program.t) : machine =
-  let cfg = Cfg.build program in
+let machine_of_program (cfg : Cfg.t) : machine =
+  let program = cfg.Cfg.program in
   let len = Array.length program in
   if len = 0 then { nodes = [| Stop |]; start = 0 }
   else begin
@@ -1108,8 +1145,8 @@ let program_fragments (program : Alveare_isa.Program.t) : (int * int) list =
   if len = 0 then []
   else begin
     try
-      let machine = machine_of_program program in
-      let a = automaton machine in
+      let cfg = Cfg.build program in
+      let a = automaton (machine_of_program cfg) in
       let product, product_budget_hit = build_product a in
       let edas = eda_candidates a product in
       let pairs, _, ida_budget_hit = ida_pairs a in
@@ -1126,7 +1163,6 @@ let program_fragments (program : Alveare_isa.Program.t) : (int * int) list =
         List.iter (fun (pp : pump_pair) -> List.iter mark pp.pp_states) pairs;
         (* Widen to the enclosing sub-REs: the OPEN/CLOSE machinery
            driving an ambiguous loop backtracks with it. *)
-        let cfg = Cfg.build program in
         let changed = ref true in
         while !changed do
           changed := false;

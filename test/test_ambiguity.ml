@@ -80,6 +80,79 @@ let test_linear () =
        | _ -> Alcotest.failf "%S: expected linear, got %s" p (verdict_str t))
     linear_patterns
 
+(* The exact witness of every corpus verdict: prefix, pump, suffix and
+   pump span. The analysis picks each byte and explores the product in
+   a fixed order, so a change in byte choice, state numbering or search
+   order shows here even when the verdict and the witness's validity
+   stay the same. *)
+let pinned_witnesses =
+  [ ("(a+)+b", ("aa", "aa", "c", (1, 2)));
+    ("(a|a)*b", ("a", "aa", "c", (1, 4)));
+    ("(a*)*b", ("a", "a", "c", (1, 2)));
+    ("(a|a)+b", ("aa", "aa", "c", (1, 4)));
+    ("(a{0,2})*b", ("a", "aa", "c", (1, 2)));
+    ("a*a*c", ("a", "a", "b", (0, 3)));
+    ("a+a+b", ("aa", "aa", "c", (0, 3)));
+    (".*a.*ac", ("a", "aa", "\n", (0, 4))) ]
+
+(* Witnesses compared as ((prefix, pump), (suffix, (left, right))). *)
+let witness_t =
+  Alcotest.(option (pair (pair string string) (pair string (pair int int))))
+
+let pinned (prefix, pump, suffix, span) = ((prefix, pump), (suffix, span))
+
+let actual (t : A.t) =
+  Option.map
+    (fun (w : A.witness) ->
+       pinned (w.A.prefix, w.A.pump, w.A.suffix, (w.A.pump_left, w.A.pump_right)))
+    t.A.witness
+
+let test_witnesses_pinned () =
+  List.iter
+    (fun p ->
+       match List.assoc_opt p pinned_witnesses with
+       | None -> Alcotest.failf "%S: no pinned witness" p
+       | Some w ->
+         Alcotest.check witness_t (p ^ " witness") (Some (pinned w))
+           (actual (analyze_exn p)))
+    (exponential_patterns @ polynomial_patterns)
+
+(* Patterns that exhaust one search budget each, with the whole report
+   pinned: the composite-edge cap ("((.*){0,3}?){3,}"), the cube budget
+   of the pump-pair search ("(([b-df-h]{3,}){3,5}?)*?") and the product
+   budget (seven "(a|a)*b*c*d*e*f*g*h*" before a "z"). The last one's
+   witness comes from the product as the budget left it, and most of
+   its transition pairs have disjoint labels, so it also pins that
+   every pair is charged: charging only the pairs that share a byte
+   stops the search later and moves the pump span to 121..124. *)
+let budget_note = "a search budget was hit; findings may be incomplete"
+
+let unexploitable_note =
+  "ambiguous automaton, but no failing continuation validated a witness — \
+   worst-case matching stays linear for this pattern in isolation"
+
+let pinned_budget_cases =
+  [ ("((.*){0,3}?){3,}", "linear", None, 8, 12,
+     [ budget_note; unexploitable_note ]);
+    ("(([b-df-h]{3,}){3,5}?)*?", "linear", None, 8, 20,
+     [ budget_note; unexploitable_note ]);
+    (String.concat "" (List.init 7 (fun _ -> "(a|a)*b*c*d*e*f*g*h*")) ^ "z",
+     "exponential", Some ("a", "aa", "i", (61, 64)), 0, 64, [ budget_note ]) ]
+
+let test_budget_pinned () =
+  List.iter
+    (fun (p, verdict, witness, ida_degree, states, notes) ->
+       let t = analyze_exn p in
+       Alcotest.(check string) (p ^ " verdict") verdict (verdict_str t);
+       Alcotest.check witness_t (p ^ " witness") (Option.map pinned witness)
+         (actual t);
+       Alcotest.(check bool) (p ^ " eda") true t.A.eda;
+       Alcotest.(check int) (p ^ " ida degree") ida_degree t.A.ida_degree;
+       Alcotest.(check int) (p ^ " states") states t.A.states;
+       Alcotest.(check bool) (p ^ " budget hit") true t.A.budget_hit;
+       Alcotest.(check (list string)) (p ^ " notes") notes t.A.notes)
+    pinned_budget_cases
+
 (* Ambiguity facts survive an unexploitable (Linear) verdict — the
    gate ignores them but the report must still carry them. *)
 let test_unexploitable_facts () =
@@ -165,24 +238,31 @@ let test_safe_fragments () =
     if not (ordered c.Compile.safe_fragments) then
       Alcotest.failf "%S: malformed fragment list" p
   in
+  let check_exact p expected (c : Compile.compiled) =
+    Alcotest.(check (list (pair int int))) (p ^ " fragments") expected
+      c.Compile.safe_fragments
+  in
   (* An unambiguous program is one whole safe fragment. *)
   List.iter
-    (fun p ->
+    (fun (p, expected) ->
        let c = Pumping.compile_for_attack p in
        check_invariants p c;
+       check_exact p expected c;
        let n = Alveare_isa.Program.length c.Compile.program in
        if c.Compile.safe_fragments <> [ (0, n) ] then
          Alcotest.failf "%S: expected the whole program safe" p)
-    [ "abc"; "a+b"; "(a|b)c"; "x{3,5}y" ];
+    [ ("abc", [ (0, 2) ]); ("a+b", [ (0, 4) ]); ("(a|b)c", [ (0, 6) ]);
+      ("x{3,5}y", [ (0, 4) ]) ];
   (* An exploitable pattern's pump core must be excluded. *)
   List.iter
-    (fun p ->
+    (fun (p, expected) ->
        let c = Pumping.compile_for_attack p in
        check_invariants p c;
+       check_exact p expected c;
        let n = Alveare_isa.Program.length c.Compile.program in
        if frag_len c.Compile.safe_fragments >= n then
          Alcotest.failf "%S: ambiguous core not excluded from fragments" p)
-    [ "(a+)+b"; "a*a*c"; "(a|a)*b" ]
+    [ ("(a+)+b", [ (4, 6) ]); ("a*a*c", [ (4, 6) ]); ("(a|a)*b", [ (6, 8) ]) ]
 
 (* --- Totality and witness soundness over generated ASTs ---------------- *)
 
@@ -257,7 +337,9 @@ let () =
           Alcotest.test_case "polynomial corpus" `Quick test_polynomial;
           Alcotest.test_case "linear corpus" `Quick test_linear;
           Alcotest.test_case "unexploitable facts survive" `Quick
-            test_unexploitable_facts ] );
+            test_unexploitable_facts;
+          Alcotest.test_case "witnesses pinned" `Quick test_witnesses_pinned;
+          Alcotest.test_case "budget cases pinned" `Quick test_budget_pinned ] );
       ( "witness soundness",
         [ Alcotest.test_case "witnesses validate on core" `Quick
             test_witnesses_validate;
