@@ -196,8 +196,7 @@ let run_derivative eng data ~quiet ~compare =
 
 (* Ruleset mode: one pattern per line (blank lines and # comments
    skipped), tagged by line number; the whole set scans the input in
-   one call — through the fused one-pass engine when single-core and
-   prefiltered. *)
+   one call — through the fused one-pass engine when prefiltered. *)
 let run_ruleset rules_path data ~cores ~quiet ~stats_flag ~no_prefilter
     ~extended =
   let specs =
@@ -238,8 +237,7 @@ let run_ruleset rules_path data ~cores ~quiet ~stats_flag ~no_prefilter
         "%d hit(s) from %d rule(s) in %d bytes on %d core(s)%s@."
         (List.length report.Ruleset.hits)
         (Ruleset.size rs) (String.length data) cores
-        (if no_prefilter || cores > 1 then ""
-         else " (fused one-pass sweep)");
+        (if no_prefilter then "" else " (fused one-pass sweep)");
       Fmt.pr "wall cycles: %d (%.3f ms with dispatch)@."
         report.Ruleset.total_wall_cycles
         (report.Ruleset.seconds *. 1e3);
@@ -387,8 +385,8 @@ let rules_arg =
        & info [ "rules" ] ~docv:"FILE"
            ~doc:"Scan a whole ruleset: one pattern per line (blank lines \
                  and # comments skipped), every rule over the input in one \
-                 call. Single-core prefiltered scans run the fused one-pass \
-                 engine (one shared sweep for the whole set).")
+                 call. Prefiltered scans run the fused one-pass engine (one \
+                 shared sweep for the whole set, at any core count).")
 
 let text_arg =
   Arg.(value & opt (some string) None

@@ -104,20 +104,16 @@ let string_error r = Result.map_error Compile.error_message r
    window. Patterns the mid-end could not rewrite to the ISA
    ([backend = Derivative]) are served by the derivative engine — its
    spans agree with the ISA span-for-span on everything both can run,
-   so the dispatch is invisible in the results. *)
-let find_all ?(cores = 1) ?workers ?extended pattern input
+   so the dispatch is invisible in the results. [find_all] is a
+   ruleset rule's scan ([Ruleset.scan_compiled]). *)
+let find_all ?cores ?workers ?extended pattern input
   : (span list, string) result =
   string_error
     (Result.map
        (fun (c : compiled) ->
-          match c.Compile.backend with
-          | Compile.Derivative eng ->
-            Alveare_derivative.Engine.find_all eng input
-          | Compile.Isa | Compile.Isa_lowered ->
-            Multicore.find_all ~cores
-              ~overlap:(Multicore.overlap_for_ast c.Compile.ast) ?workers
-              ~prefilter:c.Compile.prefilter ~plan:c.Compile.plan
-              ?dfa:c.Compile.dfa c.Compile.program input)
+          (Ruleset.scan_compiled ?workers ?cores
+             ~overlap:(Multicore.overlap_for_ast c.Compile.ast) c input)
+            .Ruleset.spans)
        (cached ?extended pattern))
 
 let search ?extended pattern input : (span option, string) result =

@@ -115,11 +115,12 @@ val compile_exn : ?extended:bool -> string -> compiled
 val find_all :
   ?cores:int -> ?workers:int -> ?extended:bool -> string -> string ->
   (span list, string) result
-(** [find_all pattern input] — all non-overlapping matches on the
-    simulated DSA ([cores] > 1 uses the multi-core scale-out, with the
-    overlap window sized from the pattern by
-    {!Multicore.overlap_for_ast}; [workers] parallelises the simulated
-    cores on host domains). The scan skips
+(** [find_all pattern input] — all matches on the simulated DSA,
+    non-overlapping at one core. [cores] > 1 uses the multi-core
+    scale-out, with the overlap window sized from the pattern by
+    {!Multicore.overlap_for_ast}; there each core restarts at its own
+    slice, so the spans can overlap (see {!Multicore}). [workers]
+    parallelises the simulated cores on host domains. The scan skips
     start offsets the compiled pattern's first byte-set rules out and
     executes backtracking-free fragments on the lazy-DFA overlay
     ({!Alveare_arch.Dfa_overlay}); neither changes the spans.

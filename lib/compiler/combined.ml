@@ -166,14 +166,21 @@ type outcome =
   | Residual
       (* untouched by the sweep: caller's per-rule path *)
 
+(* The dispatch table of a multi-core sweep: it offers no position to
+   any cursor. *)
+let no_dispatch = Array.make 256 [||]
+
 (* Every K_first group drives one [Scan_cursor] over the whole input:
    the sweep offers it each position whose byte is in the group's first
    set, in ascending order, which is exactly the candidate stream
    [Core]'s prefilter source enumerates — so every counter charge lands
    identically. Each candidate is attempted at once, on the group's
    overlay session when the cursor holds one; no two cursors of a
-   sweep share a family, so none is refused for another's session. *)
-let scan (t : t) (input : string) : outcome array =
+   sweep share a family, so none is refused for another's session.
+   At [cores > 1] a rule's attempts belong to the simulated cores, so
+   the sweep opens no cursor: first-set groups come back [Residual]
+   and the walk only fills the candidate buckets. *)
+let scan ?(cores = 1) (t : t) (input : string) : outcome array =
   let n = String.length input in
   let nr = Array.length t.rules in
   let cursors = Array.make nr None in
@@ -184,7 +191,7 @@ let scan (t : t) (input : string) : outcome array =
   @@ fun () ->
   Array.iteri
     (fun i (c : Compile.compiled) ->
-       if t.klass.(i) = K_first && t.rep.(i) = i then begin
+       if cores = 1 && t.klass.(i) = K_first && t.rep.(i) = i then begin
          let stats = Core.fresh_stats () in
          let cur =
            Scan_cursor.start ~dfa:c.Compile.dfa ~config:Core.default_config
@@ -196,6 +203,7 @@ let scan (t : t) (input : string) : outcome array =
   let buckets =
     match t.ac with Some _ -> Array.make nr [] | None -> [||]
   in
+  let dispatch = if cores = 1 then t.dispatch else no_dispatch in
   let ac_state = ref Ac.root in
   let disp_count = ref 0 and ac_count = ref 0 in
   for i = 0 to n - 1 do
@@ -214,7 +222,7 @@ let scan (t : t) (input : string) : outcome array =
        done
      | None -> ());
     let ds =
-      Array.unsafe_get t.dispatch (Char.code (String.unsafe_get input i))
+      Array.unsafe_get dispatch (Char.code (String.unsafe_get input i))
     in
     for k = 0 to Array.length ds - 1 do
       match cursors.(Array.unsafe_get ds k) with

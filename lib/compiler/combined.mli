@@ -16,7 +16,9 @@
 
     This module is the scan engine only: {!Ruleset} owns rule
     metadata, classification inputs (the AC index), the post-sweep
-    candidate attempts, and the residual per-rule arms. *)
+    candidate attempts, and the residual per-rule arms. A multi-core
+    ruleset scan runs the same pass, for its candidate buckets only
+    (see {!scan}'s [cores]). *)
 
 type t
 (** The fused engine for one ruleset: per-rule classification, the
@@ -54,7 +56,7 @@ type outcome =
       (** untouched: anchored / nullable / no-first-set / derivative
           rules stay on the caller's per-rule path *)
 
-val scan : t -> string -> outcome array
+val scan : ?cores:int -> t -> string -> outcome array
 (** One streaming pass over the input; one outcome per rule, in rule
     order. Every rule of a group gets its group's outcome (a [Scanned]
     one with its own stats record), which is the outcome a scan of that
@@ -62,7 +64,13 @@ val scan : t -> string -> outcome array
     session when its compilation carries a family and the calling
     domain's instance is free, and on {!Alveare_arch.Plan.run}
     otherwise, with identical results. Runs entirely on the calling
-    domain. *)
+    domain.
+
+    [cores] (default 1) is the core count of the scan the outcomes
+    feed. At [cores > 1] every rule's attempts run on the simulated
+    cores, so the pass opens no cursor and dispatches nothing:
+    first-set groups come back [Residual], and the pass only walks the
+    literal automaton for the [Candidates] of covered groups. *)
 
 (** {1 Scan counters}
 
@@ -72,11 +80,13 @@ val scan : t -> string -> outcome array
     sweep's work on overlay sessions. *)
 
 type counters = {
-  onepass_scans : int;        (** fused sweeps run *)
-  shared_pass_bytes : int;    (** input bytes swept *)
+  onepass_scans : int;        (** fused sweeps run, at any core count *)
+  shared_pass_bytes : int;    (** input bytes swept, at any core count *)
   dispatch_candidates : int;
-      (** first-set dispatch deliveries, one per group and position *)
-  ac_candidates : int;        (** candidate bucket entries collected *)
+      (** first-set dispatch deliveries, one per group and position
+          (single-core sweeps only) *)
+  ac_candidates : int;
+      (** candidate bucket entries collected, at any core count *)
   product_rules : int;
       (** first-set groups that held an overlay session in a sweep *)
   product_threads : int;      (** sweep attempts run on an overlay session *)

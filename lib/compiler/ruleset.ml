@@ -24,21 +24,8 @@ type compiled_rule = {
   overlap : int;
 }
 
-(* Aho-Corasick literal index over the union of all rules' required
-   literals. One pass over the stream yields, per rule, the candidate
-   match-start offsets (literal position minus the literal's offset
-   within the pattern); each covered rule then attempts only at its
-   candidates. Rules without usable literals are not covered and scan
-   with their first-set prefilter instead. *)
-type index = {
-  ac : Alveare_prefilter.Ac.t;
-  refs : (int * int) array;  (* AC pattern idx -> (rule array idx, lit offset) *)
-  covered : bool array;      (* per rule: scanned via the candidate path *)
-}
-
 type t = {
   rules : compiled_rule array;
-  index : index option;
   fused : Combined.t;
 }
 
@@ -47,8 +34,15 @@ type compile_error = {
   reason : string;
 }
 
-let build_index (rules : compiled_rule array) : index option =
-  let lits = ref [] and refs = ref [] and n_lits = ref 0 in
+(* The Aho-Corasick literal index over the union of all rules' required
+   literals, as {!Combined.build} takes it: the automaton, each
+   literal's (rule, offset within the match), and per rule whether it
+   is covered. A covered rule attempts only at its candidate starts
+   (literal position minus the literal's offset); the others scan with
+   their first-set prefilter. [None] when no rule has usable
+   literals. *)
+let literal_index (rules : compiled_rule array) =
+  let lits = ref [] and refs = ref [] in
   let covered =
     Array.mapi
       (fun i r ->
@@ -60,46 +54,18 @@ let build_index (rules : compiled_rule array) : index option =
            List.iter
              (fun s ->
                 lits := s :: !lits;
-                refs := (i, l.Alveare_prefilter.Prefilter.offset) :: !refs;
-                incr n_lits)
+                refs := (i, l.Alveare_prefilter.Prefilter.offset) :: !refs)
              l.Alveare_prefilter.Prefilter.lits;
            true
          | Some _ | None -> false)
       rules
   in
-  if !n_lits = 0 then None
+  if !lits = [] then None
   else
     Some
-      { ac = Alveare_prefilter.Ac.build (List.rev !lits);
-        refs = Array.of_list (List.rev !refs);
-        covered }
-
-(* Slice-parallel AC bucketing (multi-core scans): each worker runs the
-   chunked automaton pass over one slice of reporting indices into
-   private buckets ({!Alveare_prefilter.Ac.find_iter_chunk} — the exact
-   sub-multiset of the full pass owned by that index range). Reporting
-   indices ascend across slices, so concatenating in slice order and
-   deduplicating reproduces a single full pass's buckets exactly. *)
-let candidates_by_rule_sliced ?workers idx input n_rules ~slices =
-  let n = String.length input in
-  let slice = (n + slices - 1) / slices in
-  let chunked =
-    Alveare_exec.Pool.init ?workers slices (fun k ->
-        let lo = min n (k * slice) and hi = min n ((k + 1) * slice) in
-        let buckets = Array.make n_rules [] in
-        Alveare_prefilter.Ac.find_iter_chunk idx.ac input ~lo ~hi
-          (fun ~pat ~pos ->
-             let rule_idx, lit_offset = idx.refs.(pat) in
-             let start = pos - lit_offset in
-             if start >= 0 then
-               buckets.(rule_idx) <- start :: buckets.(rule_idx));
-        buckets)
-  in
-  Array.init n_rules (fun i ->
-      let l =
-        Array.fold_left (fun acc b -> List.rev_append b.(i) acc) [] chunked
-      in
-      Array.of_list (List.sort_uniq compare l))
+      ( Alveare_prefilter.Ac.build (List.rev !lits),
+        Array.of_list (List.rev !refs),
+        covered )
 
 let compile ?(options = Alveare_ir.Lower.default_options) ?cache ?workers
     ?extended (specs : (string * string) list)
@@ -135,13 +101,12 @@ let compile ?(options = Alveare_ir.Lower.default_options) ?cache ?workers
       Array.of_list
         (List.filter_map (function Ok r -> Some r | Error _ -> None) results)
     in
-    let index = build_index rules in
     let fused =
       Combined.build
         ~rules:(Array.map (fun r -> r.compiled) rules)
-        ~ac:(Option.map (fun i -> (i.ac, i.refs, i.covered)) index)
+        ~ac:(literal_index rules)
     in
-    Ok { rules; index; fused }
+    Ok { rules; fused }
 
 let compile_exn ?options ?cache ?workers ?extended specs =
   match compile ?options ?cache ?workers ?extended specs with
@@ -201,7 +166,7 @@ type rule_scan = {
   attempts : int;
   offsets_scanned : int;
   offsets_pruned : int;
-  via_ac : bool;  (* scanned at its Aho-Corasick candidates *)
+  via_ac : bool;
 }
 
 let rule_scan ~via_ac wall_cycles spans (s : Core.stats) =
@@ -209,18 +174,34 @@ let rule_scan ~via_ac wall_cycles spans (s : Core.stats) =
     offsets_scanned = s.Core.offsets_scanned;
     offsets_pruned = s.Core.offsets_pruned; via_ac }
 
-(* One rule's scan after the sweep, from either candidate source: one
-   [Multicore.run] with the rule's overlap window. *)
-let run_rule ~cores ?candidates ?prefilter r input =
-  let c = r.compiled in
-  let res =
-    Multicore.run ?candidates ?prefilter ~plan:c.Compile.plan
-      ?dfa:c.Compile.dfa
-      ~config:(Multicore.config ~cores ~overlap:r.overlap ())
-      c.Compile.program input
-  in
-  rule_scan ~via_ac:(Option.is_some candidates) res.Multicore.cycles
-    res.Multicore.matches res.Multicore.totals
+(* One pattern's scan outside the sweep: a ruleset rule's after it, the
+   daemon's [Scan] and the façade's [find_all]. An ISA pattern is one
+   [Multicore.run] with the given overlap window, at any core count,
+   attempting at [candidates] when given and otherwise at every offset
+   the first-set prefilter admits ([prefilter], default on). Extended
+   patterns the mid-end could not rewrite run on the host derivative
+   engine, outside the DSA cycle model: hits but no modelled cycles or
+   attempt counters (they are never AC-covered — extended patterns
+   yield no usable literals). *)
+let scan_compiled ?workers ?(cores = 1) ?candidates ?(prefilter = true)
+    ~overlap (c : Compile.compiled) input =
+  match c.Compile.backend with
+  | Compile.Derivative eng ->
+    { wall_cycles = 0; spans = Alveare_derivative.Engine.find_all eng input;
+      attempts = 0; offsets_scanned = 0; offsets_pruned = 0; via_ac = false }
+  | Compile.Isa | Compile.Isa_lowered ->
+    let res =
+      Multicore.run ?workers ?candidates
+        ?prefilter:
+          (if prefilter && Option.is_none candidates then
+             Some c.Compile.prefilter
+           else None)
+        ~plan:c.Compile.plan ?dfa:c.Compile.dfa
+        ~config:(Multicore.config ~cores ~overlap ())
+        c.Compile.program input
+    in
+    rule_scan ~via_ac:(Option.is_some candidates) res.Multicore.cycles
+      res.Multicore.matches res.Multicore.totals
 
 (* Scan the stream through every rule. Rules run one after another on the
    DSA (the instruction memory holds one compiled RE at a time, §6), so
@@ -236,53 +217,30 @@ let run_rule ~cores ?candidates ?prefilter r input =
    takes the group's result under its own id and tag. The modelled
    accounting still loads and runs every rule.
 
-   With [prefilter] (the default) single-core scans run the fused
-   {!Combined} sweep: ONE pass walks the AC automaton and dispatches
-   first-set candidates into per-group scan cursors; AC-covered groups
-   then attempt only at their candidate offsets. Multi-core scans slice
-   the AC pass across workers instead, and every other rule scans with
-   its first-set skip loop. Every post-sweep scan is one
-   [Multicore.run] with the rule's overlap window, at any core count.
-   Hits are identical to the unfiltered scan either way. *)
+   With [prefilter] (the default) the scan runs the fused {!Combined}
+   sweep, at any core count: ONE pass walks the AC automaton, and
+   AC-covered groups then attempt only at their candidate offsets. At
+   one core the same pass dispatches first-set candidates into per-group
+   scan cursors; at more, every other rule scans with its first-set
+   skip loop. Every post-sweep scan is one [scan_compiled] with the
+   rule's overlap window. Hits are identical to the unfiltered scan
+   either way. *)
 let scan ?(cores = 1) ?workers ?(prefilter = true) (t : t) (input : string)
     : report =
   if cores < 1 then invalid_arg "Ruleset.scan: cores must be positive";
   let outcome =
-    if prefilter && cores = 1 then Array.get (Combined.scan t.fused input)
-    else
-      match t.index with
-      | Some idx when prefilter ->
-        let cands =
-          candidates_by_rule_sliced ?workers idx input (Array.length t.rules)
-            ~slices:cores
-        in
-        fun i ->
-          if idx.covered.(i) then Combined.Candidates cands.(i)
-          else Combined.Residual
-      | Some _ | None -> fun _ -> Combined.Residual
+    if prefilter then Array.get (Combined.scan ~cores t.fused input)
+    else fun _ -> Combined.Residual
   in
   let group = Combined.representative t.fused in
   let scan_group i r =
-    match r.compiled.Compile.backend with
-    | Compile.Derivative eng ->
-      (* extended rules the mid-end could not rewrite run on the host
-         derivative engine, outside the DSA cycle model: they
-         contribute hits but no modelled cycles or attempt counters
-         (they are never AC-covered — extended patterns yield no usable
-         literals) *)
-      { wall_cycles = 0; spans = Alveare_derivative.Engine.find_all eng input;
-        attempts = 0; offsets_scanned = 0; offsets_pruned = 0;
-        via_ac = false }
-    | Compile.Isa | Compile.Isa_lowered ->
-      (match outcome i with
-       | Combined.Scanned (stats, matches) ->
-         rule_scan ~via_ac:false stats.Core.cycles matches stats
-       | Combined.Candidates candidates -> run_rule ~cores ~candidates r input
-       | Combined.Residual ->
-         run_rule ~cores
-           ?prefilter:
-             (if prefilter then Some r.compiled.Compile.prefilter else None)
-           r input)
+    match outcome i with
+    | Combined.Scanned (stats, matches) ->
+      rule_scan ~via_ac:false stats.Core.cycles matches stats
+    | Combined.Candidates candidates ->
+      scan_compiled ~cores ~candidates ~overlap:r.overlap r.compiled input
+    | Combined.Residual ->
+      scan_compiled ~cores ~prefilter ~overlap:r.overlap r.compiled input
   in
   let group_results =
     Alveare_exec.Pool.init ?workers (Array.length t.rules) (fun i ->

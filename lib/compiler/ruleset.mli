@@ -17,20 +17,14 @@ type compiled_rule = {
   overlap : int;  (** multi-core boundary window for this rule *)
 }
 
-type index
-(** Aho-Corasick automaton over the union of all rules' required
-    literals, plus the mapping from literal occurrences back to
-    per-rule candidate match-start offsets. Built once at
-    {!val-compile} time. *)
-
 type t = {
   rules : compiled_rule array;
-  index : index option;  (** [None] when no rule has usable literals *)
   fused : Combined.t;
       (** the one-pass engine over the same rules: classification,
-          shared first-set dispatch table, literal index (see
-          {!Combined}); built once here, used by prefiltered
-          single-core {!scan}s *)
+          shared first-set dispatch table, and the Aho-Corasick index
+          over the union of the rules' required literals (see
+          {!Combined}); built once here, swept by every prefiltered
+          {!scan}, at any core count *)
 }
 
 type compile_error = {
@@ -95,15 +89,41 @@ type report = {
       (** rules scanned via the Aho-Corasick candidate path this scan *)
 }
 
+(** What one pattern's scan contributes to a report. *)
+type rule_scan = {
+  wall_cycles : int;  (** modelled DSA wall cycles: the slowest core's *)
+  spans : Alveare_engine.Semantics.span list;
+  attempts : int;         (** summed over cores, as the three below *)
+  offsets_scanned : int;
+  offsets_pruned : int;
+  via_ac : bool;  (** attempted only at Aho-Corasick candidates *)
+}
+
+val scan_compiled :
+  ?workers:int -> ?cores:int -> ?candidates:int array -> ?prefilter:bool ->
+  overlap:int -> Compile.compiled -> string -> rule_scan
+(** One pattern scanned as {!scan} scans a rule after its sweep; the
+    daemon's [Scan] and the façade's [find_all] call it too, with the
+    pattern's own window
+    ({!Alveare_multicore.Multicore.overlap_for_ast}). An ISA pattern is
+    one {!Alveare_multicore.Multicore.run} on [cores] (default 1) with
+    the [overlap] window and the compilation's plan and overlay family.
+    It attempts at the sorted start offsets [candidates] when given;
+    otherwise at every offset the first-set prefilter admits, or every
+    offset with [prefilter:false]. [workers] parallelises the simulated
+    cores on host domains, with identical results. A derivative-backed
+    pattern runs on the host derivative engine: spans only, every
+    counter 0. *)
+
 val scan :
   ?cores:int -> ?workers:int -> ?prefilter:bool -> t -> string -> report
 (** Rules run sequentially on the DSA (one compiled RE in instruction
     memory at a time); [cores] (default 1; [Invalid_argument] below 1)
     parallelises each rule over the stream on the simulated hardware:
-    every rule's scan after the sweep is one
-    {!Alveare_multicore.Multicore.run} with the rule's [overlap]
-    window, at any core count. [workers] parallelises the host-side
-    simulation of the independent per-rule runs ({!Alveare_exec.Pool});
+    every rule's scan after the sweep is one {!scan_compiled} with the
+    rule's [overlap] window, at any core count. [workers] parallelises
+    the host-side simulation of the independent per-rule runs
+    ({!Alveare_exec.Pool});
     the report — hits, per-rule cycles, modelled seconds — is identical
     to the sequential scan for any value.
 
@@ -115,15 +135,15 @@ val scan :
     per-rule cycles, attempt and offset totals and [prefiltered_rules]
     count every rule.
 
-    [prefilter] (default [true]): single-core scans run the fused
-    {!Combined} engine — one shared sweep walking the literal automaton
-    and the merged first-set dispatch table — and rules covered by the
-    literal {!index} then attempt only at their candidate offsets. With
-    [cores > 1] the automaton pass is sliced across workers and merged
-    instead; each covered rule runs [Multicore.run ~candidates], every
-    core attempting at the candidates inside its region, and every
-    other rule scans with its first-set prefilter.
-    Hits are identical with prefiltering on or off — only
+    [prefilter] (default [true]): the scan runs one fused {!Combined}
+    sweep over the input, at every core count, and rules covered by
+    the literal index attempt only at the candidate offsets its
+    automaton walk collects; at [cores > 1] every core attempts at the
+    candidates inside its region. A single-core sweep also walks the
+    merged first-set dispatch table and scans those rules in the same
+    pass; at [cores > 1] they scan with their first-set prefilter
+    after it, on the simulated cores. The sweep runs on the calling
+    domain. Hits are identical with prefiltering on or off — only
     attempts/cycles change. The report is bit-identical to a rule-by-rule
     scan; the fused-sweep differential battery pins this against the
     per-rule reference in the test support library.

@@ -38,7 +38,9 @@
    Quantifiers
    - repeat coalescing: an adjacent repetition and atom (or two
      repetitions) of the same body with a compatible greediness add
-     their counters — `aa*` => `a+`, `x{1,2}x{1,3}` => `x{2,5}`.
+     their counters — `aa*` => `a+`, `x{1,2}x{1,3}` => `x{2,5}` — except
+     a bare char right after another char, which stays in that literal
+     run: `baa*` is left as written.
    - nest fusion: `(x{a,b}){n,m}` => `x{n·a,m·b}` when the fused range
      is contiguous and the nest tries the totals in the fused order.
      Contiguity: the totals are the union over k in [n,m] of
@@ -345,20 +347,27 @@ let coalesce_repeats parts =
       greedy = (if exact q then r.greedy else q.greedy) }
   in
   let is_repeat = function Ast.Repeat _ -> true | _ -> false in
-  let rec go = function
+  let rec go prev = function
     | a :: b :: rest ->
       let xa, qa = view_repeat a and xb, qb = view_repeat b in
       (* require a repeat on at least one side: folding two bare chars
-         ("ee" -> e{2}) would break 4-char AND packing and pessimise *)
+         ("ee" -> e{2}) would break 4-char AND packing and pessimise;
+         and keep a bare char that packs into the char before it:
+         `baa*` => `ba+` would cut the leading literal the scan filters
+         starts on from `ba` to `b`, so it would attempt more *)
+      let packs =
+        match prev, a with Some (Ast.Char _), Ast.Char _ -> true | _ -> false
+      in
       if (is_repeat a || is_repeat b)
+         && (not packs)
          && Ast.equal xa xb
          && (qa.greedy = qb.greedy || exact qa || exact qb)
          && rigid xa
-      then go (Ast.Repeat (xa, add_bounds qa qb) :: rest)
-      else a :: go (b :: rest)
+      then go prev (Ast.Repeat (xa, add_bounds qa qb) :: rest)
+      else a :: go (Some a) (b :: rest)
     | tail -> tail
   in
-  go parts
+  go None parts
 
 (* (x{a,b}){n,m} => x{n·a,m·b} when the fused counting range is
    contiguous and the nest tries totals in the fused order. Totals are

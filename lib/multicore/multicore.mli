@@ -1,12 +1,18 @@
 (** Multi-core scale-out (paper §6): N independent cores with private
     memories scan slices of the stream for the same compiled RE. Matches
     are attributed to the core owning their start offset; each core scans
-    [overlap] bytes past its slice so boundary matches complete. Matches
-    longer than the overlap window can straddle slices and be truncated —
-    the inherent approximation of the paper's divide-and-conquer; size
-    the window from the pattern with {!overlap_for_ast}. {!run} is the
-    one place that cuts an input into core regions, at every core
-    count. *)
+    [overlap] bytes past its slice so boundary matches complete. The
+    divide-and-conquer approximates a one-core scan in two ways:
+    - a match longer than the overlap window can straddle slices and be
+      truncated; size the window from the pattern with
+      {!overlap_for_ast};
+    - each core restarts its scan at its own slice start, so it can
+      keep a match that starts inside a span an earlier core already
+      reported: at [cores > 1] the matches can overlap. [([^A-Z])+]
+      over [GET /index.html user=root aaab 12345] gives [3-36] on one
+      core and [3-36], [9-36], [18-36], [27-36] on four.
+    {!run} is the one place that cuts an input into core regions, at
+    every core count. *)
 
 module Core = Alveare_arch.Core
 module Span = Alveare_engine.Semantics
@@ -33,7 +39,9 @@ type core_result = {
 }
 
 type result = {
-  matches : Span.span list;   (** deduplicated, sorted *)
+  matches : Span.span list;
+      (** sorted, exact duplicates removed; at [cores > 1] two matches
+          can overlap (see the module header) *)
   cycles : int;               (** wall-clock = max over cores *)
   totals : Core.stats;
       (** every counter summed over cores, except [max_stack_depth]:

@@ -156,7 +156,7 @@ let find_all ?from t input =
   find_iter ?from t input (fun ~pat ~pos -> acc := (pat, pos) :: !acc);
   List.rev !acc
 
-(* --- Incremental / chunked driving ------------------------------------ *)
+(* --- Incremental driving ---------------------------------------------- *)
 
 (* The fused ruleset sweep steps the automaton one byte at a time,
    interleaved with per-rule dispatch, so the walk state and the output
@@ -166,33 +166,3 @@ let find_all ?from t input =
 let root = 0
 let outputs t s = t.out.(s)
 let pattern_length t pat = t.pattern_lengths.(pat)
-let max_pattern_length t = Array.fold_left max 0 t.pattern_lengths
-
-(* Occurrences whose reporting index [i] (end position minus one) lies
-   in [lo, hi). Identical to the corresponding slice of a full
-   [find_iter] pass: an occurrence reported at [i >= lo] spans at most
-   [max_pattern_length] bytes, so it is contained in the warm-up window
-   [lo - max_len + 1 .. i]; the automaton state is a function of the
-   longest trie-prefix suffix of the bytes read, and out-sets are merged
-   down failure links, so every such occurrence is reported — and the
-   automaton never reports a string that did not occur. Chunks tiling
-   [0, n) therefore reproduce the full pass exactly, each occurrence
-   reported by the one chunk owning its end position. *)
-let find_iter_chunk t input ~lo ~hi f =
-  let n = String.length input in
-  let hi = min hi n in
-  let lo = max lo 0 in
-  if lo < hi then begin
-    let warm = max 0 (lo - (max_pattern_length t - 1)) in
-    let s = ref 0 in
-    for i = warm to hi - 1 do
-      s := step t !s (String.unsafe_get input i);
-      if i >= lo then begin
-        let out = t.out.(!s) in
-        for k = 0 to Array.length out - 1 do
-          let pat = out.(k) in
-          f ~pat ~pos:(i + 1 - t.pattern_lengths.(pat))
-        done
-      end
-    done
-  end

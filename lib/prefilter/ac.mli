@@ -3,10 +3,11 @@
     Built once over the union of all rules' required literals
     ({!Prefilter.literals}), then driven over the input in a single
     pass; every occurrence of every literal is reported, which the
-    ruleset scanner turns into [(rule, candidate offset)] pairs. The
-    goto function is frozen into a compact CSR form (sorted byte /
-    target arrays per state) so memory stays proportional to the trie,
-    not [states x 256]. *)
+    ruleset scanner turns into [(rule, candidate offset)] pairs. A
+    ruleset scan walks it once, inside the fused sweep, at every core
+    count ({!step}, {!outputs}). The goto function is frozen into a
+    compact CSR form (sorted byte / target arrays per state) so memory
+    stays proportional to the trie, not [states x 256]. *)
 
 type t
 
@@ -48,16 +49,3 @@ val outputs : t -> int -> int array
 
 val pattern_length : t -> int -> int
 
-val max_pattern_length : t -> int
-(** Longest literal in the automaton (0 when empty). *)
-
-val find_iter_chunk :
-  t -> string -> lo:int -> hi:int -> (pat:int -> pos:int -> unit) -> unit
-(** Occurrences whose reporting index lies in [[lo, hi)): the exact
-    sub-multiset of a full {!find_iter} pass owned by that index range,
-    in the same order. Starts the automaton cold at
-    [lo - max_pattern_length + 1] (clamped), which suffices because no
-    occurrence spans more bytes. Chunks tiling [[0, length input)]
-    together reproduce the full pass, each occurrence exactly once —
-    the slice-parallel candidate bucketing of multicore ruleset
-    scans. *)

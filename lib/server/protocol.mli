@@ -57,8 +57,15 @@ type scan_stats = {
   offsets_pruned : int;
   cycles : int;
       (** simulated DSA wall cycles: at [cores > 1] the slowest core's,
-          not the sum over cores — the figure a one-rule ruleset scan
-          and [alveare_run] report *)
+          not the sum over cores — the figure [alveare_run] reports. A
+          [Scan] attempts at every first-set candidate. A one-rule
+          [Ruleset_scan] of the same pattern reports the same stats
+          unless the pattern has a usable required literal: then the
+          ruleset attempts only at the literal's candidates, so it
+          counts fewer attempts and cycles for the same spans
+          ([(GET|POST) /[a-z]*] over 50 tokens, one in five [GET /abc]:
+          90 attempts and 590 cycles as a [Scan], 10 and 190 as a
+          ruleset). *)
 }
 
 type error_code =

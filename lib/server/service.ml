@@ -7,7 +7,6 @@
 
 module Compile = Alveare_compiler.Compile
 module Ruleset = Alveare_compiler.Ruleset
-module Core = Alveare_arch.Core
 module Multicore = Alveare_multicore.Multicore
 module Lint = Alveare_analysis.Lint
 module Ambiguity = Alveare_analysis.Ambiguity
@@ -219,36 +218,20 @@ let handle_scan t ~id ~pattern ~input ~allow_risky =
       compile_pattern t ~id pattern (fun c ->
           gate t ~id ~allow_risky c (fun c ->
               let t0 = Unix.gettimeofday () in
-              let spans, s =
-                match c.Compile.backend with
-                | Compile.Derivative eng ->
-                  (* extended pattern served by the derivative engine:
-                     host execution, so no DSA cycle/attempt counters.
-                     The admission gate admitted it as a matter of
-                     policy — the engine is worst-case linear per start
-                     position, so there is no backtracking blowup for
-                     the gate to refuse. *)
-                  ( Alveare_derivative.Engine.find_all eng input,
-                    { Protocol.attempts = 0; offsets_scanned = 0;
-                      offsets_pruned = 0; cycles = 0 } )
-                | Compile.Isa | Compile.Isa_lowered ->
-                  (* the overlap window comes from the pattern, as a
-                     ruleset rule's does *)
-                  let r =
-                    Multicore.run ~prefilter:c.Compile.prefilter
-                      ~plan:c.Compile.plan ?dfa:c.Compile.dfa
-                      ~config:
-                        (Multicore.config ~cores:t.config.cores
-                           ~overlap:(Multicore.overlap_for_ast c.Compile.ast)
-                           ())
-                      c.Compile.program input
-                  in
-                  let totals = r.Multicore.totals in
-                  ( r.Multicore.matches,
-                    { Protocol.attempts = totals.Core.attempts;
-                      offsets_scanned = totals.Core.offsets_scanned;
-                      offsets_pruned = totals.Core.offsets_pruned;
-                      cycles = r.Multicore.cycles } )
+              (* a ruleset rule's scan, with the overlap window sized
+                 from the pattern as a rule's is; a derivative-backed
+                 pattern reports no DSA counters (the gate admitted it
+                 as a matter of policy: that engine is worst-case
+                 linear per start position) *)
+              let r =
+                Ruleset.scan_compiled ~cores:t.config.cores
+                  ~overlap:(Multicore.overlap_for_ast c.Compile.ast) c input
+              in
+              let s : Protocol.scan_stats =
+                { attempts = r.Ruleset.attempts;
+                  offsets_scanned = r.Ruleset.offsets_scanned;
+                  offsets_pruned = r.Ruleset.offsets_pruned;
+                  cycles = r.Ruleset.wall_cycles }
               in
               observe_scan t ~histogram:"latency/scan" ~t0 s;
               Protocol.Matches
@@ -258,7 +241,7 @@ let handle_scan t ~id ~pattern ~input ~allow_risky =
                       (fun (sp : Alveare_engine.Semantics.span) ->
                         (sp.Alveare_engine.Semantics.start,
                          sp.Alveare_engine.Semantics.stop))
-                      spans;
+                      r.Ruleset.spans;
                   stats = s })))
 
 (* Every field length-prefixed, so two rule lists share a key only if

@@ -356,15 +356,17 @@ let run_opt_corpus ?(on_failure = fun _ _ -> ()) ~count ~seed () : failure list 
 module Ruleset = Alveare_compiler.Ruleset
 
 (* The fused engine's contract: for any ruleset and input, the
-   single-core prefiltered [Ruleset.scan] report is bit-identical to the
-   rule-by-rule reference ([Per_rule.scan]) — tagged (rule, span) hits
-   in the same order, the same per-rule cycles, and the same aggregate
-   attempt / scanned / pruned / prefiltered counters. The one report is
-   held against the reference with the overlay on and off (the off
-   reference pins plain-plan attempts), and its hits additionally
-   against the unfiltered scan (ground truth) at every core count in
-   [cores]. [extended] parses the rules in the extended dialect. *)
-let check_onepass_case ?(cores = [ 1; 4 ]) ?extended
+   prefiltered [Ruleset.scan ~cores] report is bit-identical to the
+   rule-by-rule reference at the same core count ([Per_rule.scan
+   ~cores]) — tagged (rule, span) hits in the same order, the same
+   per-rule cycles, and the same aggregate attempt / scanned / pruned /
+   prefiltered counters — at every core count in [cores] (by default 1,
+   3 and 4; 3 cuts uneven slices). Each report is held against the
+   reference with the overlay on and off (the off reference pins
+   plain-plan attempts), and its hits additionally against the
+   unfiltered scan at the same core count. [extended] parses the rules
+   in the extended dialect. *)
+let check_onepass_case ?(cores = [ 1; 3; 4 ]) ?extended
     (specs : (string * string) list) (input : string) : failure list =
   match Ruleset.compile ?extended specs with
   | Error _ -> [] (* ill-formed rule: compile-error reporting, not scan *)
@@ -391,19 +393,18 @@ let check_onepass_case ?(cores = [ 1; 4 ]) ?extended
                  Fmt.str "%d:%d-%d" id sp.S.start sp.S.stop)
               (tagged r)))
     in
-    let fused = Ruleset.scan rs input in
-    List.iter
-      (fun dfa ->
-         let reference = Per_rule.scan ~dfa rs input in
-         if fused <> reference then
-           fail
-             (if dfa then "onepass" else "onepass-nodfa")
-             (Fmt.str "report diverges@.  fused:    %s@.  per-rule: %s"
-                (show_report fused) (show_report reference)))
-      [ true; false ];
     List.iter
       (fun cores ->
          let scan = Ruleset.scan ~cores rs input in
+         List.iter
+           (fun dfa ->
+              let reference = Per_rule.scan ~cores ~dfa rs input in
+              if scan <> reference then
+                fail
+                  (Fmt.str "onepass-c%d%s" cores (if dfa then "" else "-nodfa"))
+                  (Fmt.str "report diverges@.  fused:    %s@.  per-rule: %s"
+                     (show_report scan) (show_report reference)))
+           [ true; false ];
          let dense = Ruleset.scan ~cores ~prefilter:false rs input in
          if tagged scan <> tagged dense then
            fail

@@ -1,15 +1,17 @@
-(* Reference ruleset scan, one rule at a time: the semantics the fused
-   sweep ([Ruleset.scan] at one core with the prefilter on) must
-   reproduce bit for bit. Built only from per-rule library entry points,
-   never from [Combined]:
+(* Reference ruleset scan, one rule at a time: the semantics
+   [Ruleset.scan ~cores] with the prefilter on must reproduce bit for
+   bit, at every core count. Built only from per-rule library entry
+   points, never from [Combined] or [Ruleset.scan_compiled]:
 
    - a rule with usable literals attempts only at the candidate starts
      of one Aho-Corasick pass over the union of every rule's literals
-     ([Core.find_all_candidates]);
+     ([Multicore.run ~candidates]);
    - every other ISA rule scans alone with its first-set prefilter
-     ([Multicore.run] at one core);
+     ([Multicore.run ~prefilter]);
    - a derivative-backed rule runs on the derivative engine, outside the
-     DSA cycle model (hits only). *)
+     DSA cycle model (hits only).
+
+   Every [Multicore.run] gets [cores] and the rule's overlap window. *)
 
 module Ruleset = Alveare_compiler.Ruleset
 module Compile = Alveare_compiler.Compile
@@ -44,33 +46,31 @@ let candidate_buckets (rules : Ruleset.compiled_rule array) input =
   Array.map (Option.map (fun l -> Array.of_list (List.sort_uniq compare l)))
     buckets
 
-let scan ~dfa (rs : Ruleset.t) (input : string) : Ruleset.report =
+let scan ?(cores = 1) ~dfa (rs : Ruleset.t) (input : string) :
+    Ruleset.report =
   let buckets = candidate_buckets rs.Ruleset.rules input in
   let per_rule =
     Array.mapi
       (fun i (r : Ruleset.compiled_rule) ->
          let c = r.Ruleset.compiled in
-         let dfa = if dfa then c.Compile.dfa else None in
+         let run ?candidates ?prefilter () =
+           let res =
+             Multicore.run ?candidates ?prefilter ~plan:c.Compile.plan
+               ?dfa:(if dfa then c.Compile.dfa else None)
+               ~config:(Multicore.config ~cores ~overlap:r.Ruleset.overlap ())
+               c.Compile.program input
+           in
+           ( r, res.Multicore.cycles, res.Multicore.matches,
+             res.Multicore.totals, Option.is_some candidates )
+         in
          match c.Compile.backend, buckets.(i) with
          | Compile.Derivative eng, _ ->
            (r, 0, Alveare_derivative.Engine.find_all eng input,
             Core.fresh_stats (), false)
          | (Compile.Isa | Compile.Isa_lowered), Some candidates ->
-           let stats = Core.fresh_stats () in
-           let spans =
-             Core.find_all_candidates ~stats ~candidates ~plan:c.Compile.plan
-               ?dfa c.Compile.program input
-           in
-           (r, stats.Core.cycles, spans, stats, true)
+           run ~candidates ()
          | (Compile.Isa | Compile.Isa_lowered), None ->
-           let res =
-             Multicore.run ~prefilter:c.Compile.prefilter ~plan:c.Compile.plan
-               ?dfa
-               ~config:(Multicore.config ~cores:1 ~overlap:r.Ruleset.overlap ())
-               c.Compile.program input
-           in
-           ( r, res.Multicore.cycles, res.Multicore.matches,
-             res.Multicore.per_core.(0).Multicore.stats, false ))
+           run ~prefilter:c.Compile.prefilter ())
       rs.Ruleset.rules
   in
   let sum f = Array.fold_left (fun acc x -> acc + f x) 0 per_rule in

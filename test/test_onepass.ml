@@ -2,8 +2,9 @@
    [@onepasscheck] battery. Pins the bit-identity contract —
    [Ruleset.scan] produces the same tagged hits, the same per-rule
    cycles and the same aggregate counters as the rule-by-rule reference
-   scan ([Per_rule.scan]) — on handcrafted rulesets covering every rule
-   class, on random rulesets, and on the three workload samplers. *)
+   scan ([Per_rule.scan]) at the same core count (1, 3 and 4) — on
+   handcrafted rulesets covering every rule class, on random rulesets,
+   and on the three workload samplers. *)
 
 module Ruleset = Alveare_compiler.Ruleset
 module Combined = Alveare_compiler.Combined

@@ -727,6 +727,33 @@ let test_multicore_scan_stats () =
             ("straddle", straddle_input, cores) ])
        [ 1; 2; 4 ])
 
+(* A multi-core ruleset scan takes its literal candidates from the one
+   fused sweep, so the sweep gauges count it: one sweep, the input's
+   bytes and every candidate. It dispatches nothing: at 2 cores the
+   first-set rule scans on the simulated cores, after the sweep. *)
+let test_multicore_sweep_gauges () =
+  let svc = multicore_service 2 in
+  let input = "alert x alert 12 alerted" in
+  let gauges () =
+    let entries = Metrics.snapshot (Service.metrics svc) in
+    List.map
+      (fun name -> int_of_float (List.assoc ("ruleset/" ^ name) entries))
+      [ "onepass-scans"; "shared-pass-bytes"; "ac-candidates";
+        "dispatch-candidates" ]
+  in
+  let before = gauges () in
+  (match
+     Service.handle svc
+       (ruleset_request [ ("lit", "alert"); ("num", "[0-9]+") ] input)
+   with
+   | P.Ruleset_matches { hits; _ } -> check_int "hits" 4 (List.length hits)
+   | r -> fail_resp "multi-core ruleset scan" r);
+  List.iter2
+    (fun (name, want) (b, a) -> check_int name want (a - b))
+    [ ("onepass-scans", 1); ("shared-pass-bytes", String.length input);
+      ("ac-candidates", 3); ("dispatch-candidates", 0) ]
+    (List.combine before (gauges ()))
+
 let test_cores_validated () =
   List.iter
     (fun cores ->
@@ -783,5 +810,7 @@ let () =
             test_multicore_window;
           Alcotest.test_case "scan stats = one-rule ruleset stats" `Quick
             test_multicore_scan_stats;
+          Alcotest.test_case "sweep gauges count a 2-core scan" `Quick
+            test_multicore_sweep_gauges;
           Alcotest.test_case "core count validated" `Quick
             test_cores_validated ] ) ]
