@@ -470,8 +470,11 @@ let opt_ablation () : (string * float) list =
          let compiled =
            List.map
              (fun p ->
-                ( Alveare_compiler.Compile.compile_exn ~optimize:true p,
-                  Alveare_compiler.Compile.compile_exn ~optimize:false p ))
+                ( Alveare_compiler.Compile.compile_exn p,
+                  Alveare_compiler.Compile.compile_exn
+                    ~options:
+                      { Alveare_ir.Lower.default_options with optimize = false }
+                    p ))
              patterns
          in
          let before = ref 0 and after = ref 0 in

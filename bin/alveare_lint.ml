@@ -10,15 +10,17 @@
 
    Exit status (worst over all inputs):
      0  every pattern linear, no warning-severity diagnostics
-     1  advisory warnings only (compile-size blowup, verifier
-        violations) — nothing proven super-linear
+     1  advisory warnings only (compile-size blowup) or a binary the
+        verifier rejects — nothing proven super-linear
      2  at least one pattern with proven polynomial backtracking
      3  at least one pattern with proven exponential backtracking
-     4  a pattern failed to parse or a binary failed to load *)
+     4  a pattern failed to parse or a binary could not be read or
+        decoded *)
 
 module Lint = Alveare_analysis.Lint
 module Ambiguity = Alveare_analysis.Ambiguity
-module Verify = Alveare_analysis.Verify
+module Binary = Alveare_isa.Binary
+module Verify = Alveare_isa.Verify
 open Cmdliner
 
 type outcome = Clean | Advisory | Poly | Expo | Fail
@@ -139,25 +141,27 @@ let lint_pattern ~text quiet p =
     end;
     (outcome, fun b -> janalysis p ds a b)
 
+(* The load runs the verifier's structural phase and [Verify.run] the
+   whole verifier; a violation from either is a rejection, listed in
+   full, and only a file that cannot be read or decoded fails. *)
 let verify_binary quiet report path =
-  match Verify.file path with
-  | Error m ->
-    (* [Verify.file] folds violations and load failures into one
-       message; telling them apart matters for the exit code, so probe
-       the load separately. *)
-    (match Alveare_isa.Binary.read_file ~verify:false path with
-     | Error _ ->
-       Fmt.epr "alveare_lint: %s: %s@." path m;
-       Fail
-     | Ok _ ->
-       Fmt.pr "%s: REJECTED@.%s@." path
-         (String.concat "\n"
-            (List.map (fun l -> "  " ^ l) (String.split_on_char '\n' m)));
-       Advisory)
-  | Ok r ->
-    if not quiet then Fmt.pr "%s: verified OK@." path;
-    if report then Fmt.pr "%a" Verify.pp_report r;
-    Clean
+  let rejected vs =
+    Fmt.pr "%s: REJECTED@." path;
+    List.iter (fun v -> Fmt.pr "  %a@." Verify.pp_violation v) vs;
+    Advisory
+  in
+  match Binary.read_file ~verify:false path with
+  | Error (Binary.Verify_error vs) -> rejected vs
+  | Error e ->
+    Fmt.epr "alveare_lint: %s: %s@." path (Binary.error_message e);
+    Fail
+  | Ok program ->
+    (match Verify.run program with
+     | Error vs -> rejected vs
+     | Ok r ->
+       if not quiet then Fmt.pr "%s: verified OK@." path;
+       if report then Fmt.pr "%a" Verify.pp_report r;
+       Clean)
 
 let patterns_of_file path =
   let ic = open_in path in
@@ -261,10 +265,11 @@ let cmd =
                balance, zero-advance loops).";
            `S "EXIT STATUS";
            `P "0 all patterns linear and free of warning-severity \
-               diagnostics; 1 advisory warnings or verifier violations \
-               only; 2 proven polynomial backtracking; 3 proven \
-               exponential backtracking; 4 a pattern failed to parse or a \
-               binary failed to load. The worst outcome across all inputs \
+               diagnostics; 1 advisory warnings only, or a binary the \
+               verifier rejects (every violation is listed); 2 proven \
+               polynomial backtracking; 3 proven exponential \
+               backtracking; 4 a pattern failed to parse or a binary could \
+               not be read or decoded. The worst outcome across all inputs \
                wins." ])
     Term.(
       const main $ patterns_arg $ patterns_file_arg $ binary_arg $ quiet_flag

@@ -45,7 +45,11 @@ let load_sidecar path =
 let load_program ~verify ~optimize ~lint ~extended pattern binary =
   match pattern, binary with
   | Some p, None ->
-    (match Compile.compile ~verify ~optimize ~extended p with
+    (match
+       Compile.compile ~verify
+         ~options:{ Alveare_ir.Lower.default_options with optimize }
+         ~extended p
+     with
      | Ok c ->
        if lint then
          List.iter
@@ -304,14 +308,14 @@ let run pattern binary rules text file cores quiet stats_flag trace_path
     let ast = Option.map (fun c -> c.Compile.ast) compiled in
     let prefilter = if no_prefilter then None else prefilter in
     (* Compiled patterns carry their plan and overlay family; a loaded
-       binary builds both here: [Plan.of_program] validates it, and the
-       family comes from the same safe-fragment analysis the compiler
-       runs, applied to the loaded program. *)
+       binary builds both here, unchecked because the loader ran the
+       verifier, and the family comes from the same safe-fragment
+       analysis the compiler runs, applied to the loaded program. *)
     let plan, dfa =
       match compiled with
       | Some c -> (c.Compile.plan, c.Compile.dfa)
       | None ->
-        let plan = Alveare_arch.Plan.of_program program in
+        let plan = Alveare_arch.Plan.of_program_unchecked program in
         ( plan,
           Alveare_arch.Dfa_overlay.family
             ~fragments:(Alveare_analysis.Ambiguity.program_fragments program)
@@ -438,8 +442,10 @@ let lint_flag =
 let no_verify_flag =
   Arg.(value & flag
        & info [ "no-verify" ]
-           ~doc:"Skip static verification of the compiled or loaded \
-                 program.")
+           ~doc:"Skip the verifier's graph checks (dead code, \
+                 zero-advance loops) on the compiled or loaded program. \
+                 Its structural checks (instruction fields, EoR, jump \
+                 targets, open/close balance and kinds) always run.")
 
 let no_prefilter_flag =
   Arg.(value & flag

@@ -122,7 +122,9 @@ let lint_flag =
 let no_verify_flag =
   Arg.(value & flag
        & info [ "no-verify" ]
-           ~doc:"Skip the post-emission static-verifier self-check.")
+           ~doc:"Skip the post-emission verifier's graph checks (dead \
+                 code, zero-advance loops). Its structural checks always \
+                 run.")
 
 let cmd =
   Cmd.v

@@ -130,7 +130,7 @@ let prefilter_next ~anchor_at prefilter plan input =
 
    Every entry point takes the raw program plus an optional pre-built
    [?plan]. Without one it lowers the program with [Plan.of_program],
-   which validates it; a caller that provides a plan lowered from an
+   which checks it; a caller that provides a plan lowered from an
    already-verified binary skips both (Compile.compiled always does). *)
 
 let plan_of ?plan program =

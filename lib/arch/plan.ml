@@ -163,8 +163,10 @@ let of_program_unchecked (program : Alveare_isa.Program.t) : t =
   { ops; leading = leading_of_ops ops; program }
 
 let of_program program =
-  Alveare_isa.Program.validate_exn program;
-  of_program_unchecked program
+  match Alveare_isa.Verify.structural program with
+  | [] -> of_program_unchecked program
+  | v :: _ ->
+    invalid_arg ("Plan.of_program: " ^ Alveare_isa.Verify.violation_message v)
 
 let leading t = t.leading
 let ops t = t.ops

@@ -18,18 +18,20 @@
 type t
 
 val of_program : Alveare_isa.Program.t -> t
-(** Validates the program once ({!Alveare_isa.Program.validate_exn},
-    raising [Invalid_argument] on a malformed binary) and lowers it.
-    Callers holding a compiler-verified binary should use
+(** Checks the program once ({!Alveare_isa.Verify.structural}, raising
+    [Invalid_argument] with the first violation: a malformed
+    instruction, a jump target outside the program — [fwd] whatever its
+    enable bit says —, an unbalanced or mismatched close) and lowers
+    it. Callers holding a verified binary should use
     {!of_program_unchecked} instead: the whole point of a plan is to
-    validate at build time, not per scan. *)
+    check at build time, not per scan. *)
 
 val of_program_unchecked : Alveare_isa.Program.t -> t
-(** Lowering without the validity check, for binaries already verified
-    (the compiler's post-emission self-check, or a loader that ran
-    {!Alveare_isa.Verify}). Unclassifiable instructions lower to a
-    poisoned op that raises [Machine.Exec_error (Malformed _)] if ever
-    executed. *)
+(** Lowering without the check, for binaries already verified (by
+    [Compile] after emission, or by {!Alveare_isa.Binary}'s loader).
+    Unclassifiable instructions lower to a poisoned op, and a close
+    whose kind does not match its OPEN is left to the executor; both
+    raise [Machine.Exec_error (Malformed _)] if ever executed. *)
 
 (** {1 Decoded ops}
 

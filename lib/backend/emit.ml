@@ -15,7 +15,6 @@ module I = Alveare_isa.Instruction
 type error =
   | Backward_jump_too_long of { offset : int; limit : int }
   | Forward_jump_too_long of { offset : int; limit : int }
-  | Program_invalid of Alveare_isa.Program.error
 
 let error_message = function
   | Backward_jump_too_long { offset; limit } ->
@@ -26,7 +25,6 @@ let error_message = function
     Printf.sprintf
       "sub-RE too long: forward jump of %d exceeds the %d-instruction limit"
       offset limit
-  | Program_invalid e -> Alveare_isa.Program.error_message e
 
 exception Emit_error of error
 
@@ -180,10 +178,7 @@ let program_of_ir ?(fuse = true) (ir : Alveare_ir.Ir.t)
     let counter = ref 0 in
     assemble (linearize ~fuse counter ir)
   with
-  | program ->
-    (match Alveare_isa.Program.validate program with
-     | Ok () -> Ok program
-     | Error e -> Error (Program_invalid e))
+  | program -> Ok program
   | exception Emit_error e -> Error e
 
 let program_of_ir_exn ?fuse ir =

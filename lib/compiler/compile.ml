@@ -50,10 +50,6 @@ let error_message = function
     ^ String.concat "; "
         (List.map Alveare_isa.Verify.violation_message vs)
 
-let merge_optimize options = function
-  | None -> options
-  | Some optimize -> { options with Alveare_ir.Lower.optimize }
-
 let compile_plain ~options ~pattern ~verify ~lint ~analysis ~backend ast
   : (compiled, error) result =
   (* The mid-end rewrite pass runs here, not inside [Lower.lower], so
@@ -90,8 +86,8 @@ let compile_plain ~options ~pattern ~verify ~lint ~analysis ~backend ast
   | Error e -> Error (Backend_error e)
   | Ok program ->
     (* The plan is lowered once here, behind the post-emission
-       self-check, so every consumer of a [compiled] executes without
-       re-validating or re-decoding the binary. *)
+       check, so every consumer of a [compiled] executes without
+       re-checking or re-decoding the binary. *)
     let finish () =
       let plan = Alveare_arch.Plan.of_program_unchecked program in
       (* Safe fragments come from the emitted program itself (not the
@@ -108,15 +104,16 @@ let compile_plain ~options ~pattern ~verify ~lint ~analysis ~backend ast
       Ok { pattern; ast; ir; program; plan; options; lint; analysis;
            safe_fragments; dfa; prefilter; backend }
     in
-    (* Post-emission self-check: the verifier accepting every program
-       the backend emits is a compiler invariant, so a rejection here
-       is a bug in emission, not in the pattern. *)
-    if verify then begin
-      match Alveare_isa.Verify.run program with
-      | Ok _ -> finish ()
-      | Error vs -> Error (Verify_error vs)
-    end
-    else finish ()
+    (* Post-emission check, the only one on this program: the verifier
+       accepting every program the backend emits is a compiler
+       invariant, so a rejection here is a bug in emission, not in the
+       pattern. [~verify:false] skips the graph checks only. *)
+    let violations =
+      if not verify then Alveare_isa.Verify.structural program
+      else
+        match Alveare_isa.Verify.run program with Ok _ -> [] | Error vs -> vs
+    in
+    if violations = [] then finish () else Error (Verify_error violations)
 
 (* Serve an extended AST with the derivative engine. The ISA fields
    hold a placeholder lowered from the empty pattern — never executed,
@@ -136,11 +133,10 @@ let serve_derivative ~options ~pattern ~verify ~lint ~analysis ast
     Ok { c with ast; backend = Derivative engine;
          prefilter = Alveare_prefilter.Prefilter.analyze ast }
 
-let compile_ast ?(options = Alveare_ir.Lower.default_options) ?optimize
+let compile_ast ?(options = Alveare_ir.Lower.default_options)
     ?(pattern = "<ast>") ?(verify = true) ?(lint = [])
     ?(analysis = Alveare_analysis.Ambiguity.unanalyzed) ast
   : (compiled, error) result =
-  let options = merge_optimize options optimize in
   let ast = Alveare_frontend.Desugar.normalize ast in
   if not (Alveare_frontend.Ast.has_extended ast) then
     compile_plain ~options ~pattern ~verify ~lint ~analysis ~backend:Isa ast
@@ -160,17 +156,17 @@ let compile_ast ?(options = Alveare_ir.Lower.default_options) ?optimize
           AST reports exactly that (no AST literal denotes ⊥) *)
        serve_derivative ~options ~pattern ~verify ~lint ~analysis ast)
 
-let compile ?options ?optimize ?verify ?(extended = false) pattern
+let compile ?options ?verify ?(extended = false) pattern
   : (compiled, error) result =
   match Alveare_frontend.Parser.parse_spanned_result ~extended pattern with
   | Error m -> Error (Frontend_error m)
   | Ok spanned ->
     let lint, analysis = Alveare_analysis.Lint.full spanned in
-    compile_ast ?options ?optimize ~pattern ?verify ~lint ~analysis
+    compile_ast ?options ~pattern ?verify ~lint ~analysis
       (Alveare_frontend.Spanned.strip spanned)
 
-let compile_exn ?options ?optimize ?verify ?extended pattern =
-  match compile ?options ?optimize ?verify ?extended pattern with
+let compile_exn ?options ?verify ?extended pattern =
+  match compile ?options ?verify ?extended pattern with
   | Ok c -> c
   | Error e -> invalid_arg ("Compile.compile: " ^ error_message e)
 
@@ -203,8 +199,7 @@ let cache_key ~(options : Alveare_ir.Lower.options) ~extended pattern =
     extended pattern
 
 let cached ?(cache = default_cache) ?(options = Alveare_ir.Lower.default_options)
-    ?optimize ?verify ?(extended = false) pattern : (compiled, error) result =
-  let options = merge_optimize options optimize in
+    ?verify ?(extended = false) pattern : (compiled, error) result =
   let key = cache_key ~options ~extended pattern in
   match Alveare_exec.Cache.find_opt cache key with
   | Some c -> Ok c
@@ -213,8 +208,8 @@ let cached ?(cache = default_cache) ?(options = Alveare_ir.Lower.default_options
      | Ok c -> Alveare_exec.Cache.add cache key c; Ok c
      | Error _ as e -> e)
 
-let cached_exn ?cache ?options ?optimize ?extended pattern =
-  match cached ?cache ?options ?optimize ?extended pattern with
+let cached_exn ?cache ?options ?extended pattern =
+  match cached ?cache ?options ?extended pattern with
   | Ok c -> c
   | Error e -> invalid_arg ("Compile.cached: " ^ error_message e)
 

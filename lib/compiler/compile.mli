@@ -30,8 +30,8 @@ type compiled = {
   program : Alveare_isa.Program.t;
   plan : Alveare_arch.Plan.t;
       (** pre-decoded execution plan lowered from [program] at compile
-          time (after the post-emission self-check, so no further
-          validation happens on any scan path); pass to
+          time (after the post-emission check, so no further check
+          happens on any scan path); pass to
           {!Alveare_arch.Core} entry points as [?plan] *)
   options : Alveare_ir.Lower.options;
   lint : Alveare_analysis.Lint.diagnostic list;
@@ -74,28 +74,27 @@ val error_message : error -> string
 
 val compile :
   ?options:Alveare_ir.Lower.options ->
-  ?optimize:bool ->
   ?verify:bool ->
   ?extended:bool ->
   string ->
   (compiled, error) result
 (** Pattern → AST → IR → program. [extended] (default false) parses
     the extended dialect — see the module header for how extended
-    patterns are served. With [verify] (the default) the
-    emitted program must pass {!Alveare_isa.Verify.run} — a
-    post-emission self-check that turns any emission bug into a
-    structured [Verify_error] instead of a latent bad binary. The
-    result also carries the pattern's lint diagnostics.
+    patterns are served. The emitted program is checked once, by the
+    static verifier: with [verify] (the default) it must pass
+    {!Alveare_isa.Verify.run}, and with [~verify:false] only
+    {!Alveare_isa.Verify.structural} (the graph checks are skipped).
+    This post-emission check turns any emission bug into a structured
+    [Verify_error] instead of a latent bad binary. The result also
+    carries the pattern's lint diagnostics.
 
-    [optimize] overrides [options.optimize] (default on): the mid-end
-    rewrite pass {!Alveare_ir.Opt.optimize} runs here in the driver,
-    guarded so the optimised program is never larger than the
-    unoptimised one ([--no-opt] in the CLI tools maps to
-    [~optimize:false]). *)
+    With [options.optimize] (default on) the mid-end rewrite pass
+    {!Alveare_ir.Opt.optimize} runs here, before lowering, guarded so
+    the optimised program is never larger than the unoptimised one
+    ([--no-opt] in the CLI tools clears it). *)
 
 val compile_ast :
   ?options:Alveare_ir.Lower.options ->
-  ?optimize:bool ->
   ?pattern:string ->
   ?verify:bool ->
   ?lint:Alveare_analysis.Lint.diagnostic list ->
@@ -112,7 +111,6 @@ val compile_ast :
 
 val compile_exn :
   ?options:Alveare_ir.Lower.options ->
-  ?optimize:bool ->
   ?verify:bool ->
   ?extended:bool ->
   string ->
@@ -136,21 +134,18 @@ val default_cache : cache
 val cached :
   ?cache:cache ->
   ?options:Alveare_ir.Lower.options ->
-  ?optimize:bool ->
   ?verify:bool ->
   ?extended:bool ->
   string ->
   (compiled, error) result
 (** Like {!compile}, but consults [cache] first. Only successful
-    compilations are cached; errors always recompile. [optimize] and
-    [extended] participate in the cache key ([optimize] overrides
-    [options.optimize] before the key is formed; the same source can
-    parse differently under the two dialects). *)
+    compilations are cached; errors always recompile. Every [options]
+    field and [extended] participate in the cache key (the same source
+    can parse differently under the two dialects). *)
 
 val cached_exn :
   ?cache:cache ->
   ?options:Alveare_ir.Lower.options ->
-  ?optimize:bool ->
   ?extended:bool ->
   string ->
   compiled

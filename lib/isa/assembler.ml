@@ -195,17 +195,6 @@ let strip_address toks =
     -> rest
   | toks -> toks
 
-(* Map a whole-program validation error back to the instruction it
-   points at, so the diagnostic names the source line, not "line 0". *)
-let pc_of_program_error (e : Program.error) n =
-  match e with
-  | Program.Empty_program -> None
-  | Program.Missing_eor -> if n > 0 then Some (n - 1) else None
-  | Program.Interior_eor pc | Program.Instruction_error (pc, _)
-  | Program.Jump_out_of_range (pc, _) | Program.Unbalanced_close pc
-  | Program.Unclosed_open pc ->
-    Some pc
-
 let parse (source : string) : (Program.t, error) result =
   let lines = Array.of_list (String.split_on_char '\n' source) in
   let line_text lineno =
@@ -224,15 +213,16 @@ let parse (source : string) : (Program.t, error) result =
   with
   | entries ->
     let program = Array.of_list (List.map snd entries) in
-    (match Program.validate program with
-     | Ok () -> Ok program
-     | Error e ->
-       let line =
-         match pc_of_program_error e (Array.length program) with
-         | Some pc when pc < List.length entries -> fst (List.nth entries pc)
-         | Some _ | None -> 0
-       in
-       Error { line; text = line_text line; reason = Program.error_message e })
+    (match Verify.structural program with
+     | [] -> Ok program
+     | v :: _ ->
+       (* Name the source line of the instruction the first violation
+          points at (the last one for a missing EoR), not "line 0". *)
+       let n = Array.length program in
+       let pc = min (Verify.violation_pc n v) (n - 1) in
+       let line = if pc >= 0 then fst (List.nth entries pc) else 0 in
+       Error { line; text = line_text line;
+               reason = Verify.violation_message v })
   | exception Asm_error e -> Error { e with text = line_text e.line }
 
 let parse_exn source =

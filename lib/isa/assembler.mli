@@ -15,8 +15,9 @@ val error_message : error -> string
 exception Asm_error of error
 
 val parse : string -> (Program.t, error) result
-(** Parses and validates a whole program. Leading ["N:"] addresses and
-    blank lines are ignored; see the implementation header for the line
+(** Parses a whole program, which {!Verify.structural} must accept; the
+    error names the first violation. Leading ["N:"] addresses and blank
+    lines are ignored; see the implementation header for the line
     grammar. *)
 
 val parse_exn : string -> Program.t

@@ -18,7 +18,6 @@ type error =
   | Bad_version of int
   | Truncated of string
   | Word_error of int * Encoding.error
-  | Program_error of Program.error
   | Verify_error of Verify.violation list
   | Io_error of string
 
@@ -28,7 +27,6 @@ let error_message = function
   | Truncated what -> "truncated binary: " ^ what
   | Word_error (idx, e) ->
     Printf.sprintf "word %d: %s" idx (Encoding.error_message e)
-  | Program_error e -> Program.error_message e
   | Verify_error vs ->
     Printf.sprintf "verifier rejected the program: %s"
       (String.concat "; " (List.map Verify.violation_message vs))
@@ -40,9 +38,9 @@ let word_size = 8
 let size_of_program p = header_size + (word_size * Program.length p)
 
 let to_bytes ?(strict = false) (p : Program.t) : (bytes, error) result =
-  match Program.validate p with
-  | Error e -> Error (Program_error e)
-  | Ok () ->
+  match Verify.structural p with
+  | _ :: _ as vs -> Error (Verify_error vs)
+  | [] ->
     let n = Program.length p in
     let buf = Bytes.make (header_size + (word_size * n)) '\000' in
     Bytes.blit_string magic 0 buf 0 4;
@@ -89,17 +87,15 @@ let of_bytes ?(verify = true) (buf : bytes) : (Program.t, error) result =
         match !failure with
         | Some e -> Error e
         | None ->
-          (match Program.validate program with
-           | Error e -> Error (Program_error e)
-           | Ok () ->
-             if not verify then Ok program
-             else begin
-               (* Load-time verification: a decoded image that the
-                  static verifier rejects never reaches the core. *)
-               match Verify.run program with
-               | Ok _ -> Ok program
-               | Error vs -> Error (Verify_error vs)
-             end)
+          (* Load-time verification: a decoded image that the static
+             verifier rejects never reaches the core. *)
+          let violations =
+            if not verify then Verify.structural program
+            else
+              match Verify.run program with Ok _ -> [] | Error vs -> vs
+          in
+          if violations = [] then Ok program
+          else Error (Verify_error violations)
       end
     end
   end

@@ -12,9 +12,9 @@ type error =
   | Bad_version of int
   | Truncated of string
   | Word_error of int * Encoding.error
-  | Program_error of Program.error
   | Verify_error of Verify.violation list
-      (** the image decodes but the static verifier rejects it *)
+      (** the program decodes (or is given) but the static verifier
+          rejects it *)
   | Io_error of string
 
 val error_message : error -> string
@@ -23,19 +23,21 @@ val size_of_program : Program.t -> int
 (** Size in bytes of the serialised form. *)
 
 val to_bytes : ?strict:bool -> Program.t -> (bytes, error) result
-(** Serialise a validated program. [strict] is forwarded to
-    {!Encoding.encode}. *)
+(** Serialise a program. {!Verify.structural} must accept it, so no
+    image this writes can index outside itself when loaded; otherwise
+    [Verify_error]. [strict] is forwarded to {!Encoding.encode}. *)
 
 val to_bytes_exn : ?strict:bool -> Program.t -> bytes
 
 val of_bytes : ?verify:bool -> bytes -> (Program.t, error) result
-(** Parse and fully validate a binary image. With [verify] (the
-    default) the static verifier ({!Verify.run}) must also accept the
-    program — jump targets in range, no dead code, balanced
-    speculation, no zero-advance cycles — so a corrupted or adversarial
-    image is rejected before it can reach the core. [~verify:false]
-    restores the load-time structural checks only. Never raises: every
-    failure mode is a structured [error]. *)
+(** Parse and verify a binary image, with one verifier call. With
+    [verify] (the default) {!Verify.run} must accept the program — jump
+    targets in range, balanced speculation, no dead code, no
+    zero-advance cycles — so a corrupted or adversarial image is
+    rejected before it can reach the core. [~verify:false] skips only
+    the graph checks (dead code, zero-advance cycles):
+    {!Verify.structural} still runs. Never raises: every failure mode is
+    a structured [error]. *)
 
 val write_file : ?strict:bool -> string -> Program.t -> (bytes, error) result
 val read_file : ?verify:bool -> string -> (Program.t, error) result

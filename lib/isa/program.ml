@@ -1,89 +1,17 @@
 (* A compiled ALVEARE program: a sequence of instructions terminated by the
-   End-of-RE control instruction, plus whole-program validity checks that
-   the loader and the microarchitecture rely on (jump targets in range,
-   every OPEN eventually closed, exactly one EoR at the end). *)
+   End-of-RE control instruction. What a program must satisfy before the
+   core runs it (jump targets in range, every OPEN closed by a close of
+   its kind, exactly one EoR at the end) is checked by [Verify]. *)
 
 open Instruction
 
 type t = Instruction.t array
-
-type error =
-  | Empty_program
-  | Missing_eor
-  | Interior_eor of int
-  | Instruction_error of int * Instruction.error
-  | Jump_out_of_range of int * string
-  | Unbalanced_close of int
-  | Unclosed_open of int
-
-let error_message = function
-  | Empty_program -> "empty program"
-  | Missing_eor -> "program does not end with EoR"
-  | Interior_eor pc -> Printf.sprintf "EoR in the middle of the program (pc %d)" pc
-  | Instruction_error (pc, e) ->
-    Printf.sprintf "pc %d: %s" pc (Instruction.error_message e)
-  | Jump_out_of_range (pc, which) ->
-    Printf.sprintf "pc %d: %s jump target out of range" pc which
-  | Unbalanced_close pc -> Printf.sprintf "pc %d: close without matching open" pc
-  | Unclosed_open pc -> Printf.sprintf "pc %d: open sub-RE never closed" pc
 
 let length = Array.length
 
 (* Code size as reported by the paper's Table 2: the EoR terminator is
    excluded from the count. *)
 let code_size p = max 0 (Array.length p - 1)
-
-let validate (p : t) : (unit, error) result =
-  let n = Array.length p in
-  if n = 0 then Error Empty_program
-  else if not (is_eor p.(n - 1)) then Error Missing_eor
-  else begin
-    let err = ref None in
-    let set e = if !err = None then err := Some e in
-    let depth = ref 0 in
-    Array.iteri
-      (fun pc i ->
-         (match validate i with
-          | Error e -> set (Instruction_error (pc, e))
-          | Ok () -> ());
-         if pc < n - 1 && is_eor i then set (Interior_eor pc);
-         if i.opn then incr depth;
-         (match i.close with
-          | Some _ ->
-            if !depth = 0 then set (Unbalanced_close pc) else decr depth
-          | None -> ());
-         match i.reference with
-         | Ref_open o ->
-           if o.bwd_enabled && pc + o.bwd >= n then
-             set (Jump_out_of_range (pc, "backward"));
-           if o.fwd_enabled && pc + o.fwd >= n then
-             set (Jump_out_of_range (pc, "forward"))
-         | Ref_none | Ref_chars _ -> ())
-      p;
-    if !depth > 0 && !err = None then begin
-      (* Report the first OPEN left unclosed. *)
-      let d = ref 0 and first = ref (-1) in
-      Array.iteri
-        (fun pc i ->
-           if i.opn then begin
-             if !d = 0 && !first < 0 then first := pc;
-             incr d
-           end;
-           match i.close with
-           | Some _ ->
-             decr d;
-             if !d = 0 then first := -1
-           | None -> ())
-        p;
-      set (Unclosed_open (max 0 !first))
-    end;
-    match !err with None -> Ok () | Some e -> Error e
-  end
-
-let validate_exn p =
-  match validate p with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Program.validate: " ^ error_message e)
 
 let equal a b = Array.length a = Array.length b && Array.for_all2 Instruction.equal a b
 

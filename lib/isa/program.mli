@@ -1,29 +1,14 @@
-(** A compiled ALVEARE program: instructions terminated by End-of-RE. *)
+(** A compiled ALVEARE program: instructions terminated by End-of-RE.
+    The type carries no validity guarantee; {!Verify.structural} and
+    {!Verify.run} check an array. *)
 
 type t = Instruction.t array
-
-type error =
-  | Empty_program
-  | Missing_eor
-  | Interior_eor of int
-  | Instruction_error of int * Instruction.error
-  | Jump_out_of_range of int * string
-  | Unbalanced_close of int
-  | Unclosed_open of int
-
-val error_message : error -> string
 
 val length : t -> int
 
 val code_size : t -> int
 (** Instruction count excluding the EoR terminator — the metric the paper's
     Table 2 reports. *)
-
-val validate : t -> (unit, error) result
-(** Whole-program checks: non-empty, single trailing EoR, per-instruction
-    well-formedness, jump targets inside the program, balanced open/close. *)
-
-val validate_exn : t -> unit
 
 val equal : t -> t -> bool
 

@@ -1,9 +1,12 @@
-(* Static verifier over instruction arrays (bytecode-verifier style).
+(* Static verifier over instruction arrays (bytecode-verifier style):
+   the one check an instruction array passes before it reaches a plan.
 
    Phases:
    1. structural — per-instruction well-formedness, EoR placement,
       open/close balance and kind compatibility, jump-target ranges
       (every field the core dereferences, enable bits notwithstanding);
+      exported alone as [structural] for [Plan.of_program], the
+      serialiser, the assembler and the [~verify:false] paths;
    2. graph — only when phase 1 is clean (a broken structure makes
       reachability meaningless): CFG reachability from address 0, and
       zero-advance cycle detection by DFS over the epsilon sub-graph;
@@ -92,6 +95,11 @@ let violation_pc length = function
   | Close_mismatch { close_pc; _ } -> close_pc
   | Epsilon_loop { cycle } -> (match cycle with pc :: _ -> pc | [] -> 0)
 
+let sort length vs =
+  List.stable_sort
+    (fun a b -> compare (violation_pc length a) (violation_pc length b))
+    vs
+
 (* --- Phase 1: structure ------------------------------------------------ *)
 
 let structural_violations (p : Program.t) : violation list * string list =
@@ -176,6 +184,8 @@ let structural_violations (p : Program.t) : violation list * string list =
     List.iter (fun pc -> add (Unclosed_open { pc })) !stack;
     (List.rev !out, List.rev !warnings)
   end
+
+let structural p = sort (Array.length p) (fst (structural_violations p))
 
 (* --- Phase 2: graph ---------------------------------------------------- *)
 
@@ -275,13 +285,8 @@ let open_depth (p : Program.t) : int =
 
 let run (p : Program.t) : (report, violation list) result =
   let n = Array.length p in
-  let sort vs =
-    List.stable_sort
-      (fun a b -> compare (violation_pc n a) (violation_pc n b))
-      vs
-  in
   let structural, warnings = structural_violations p in
-  if structural <> [] then Error (sort structural)
+  if structural <> [] then Error (sort n structural)
   else begin
     let cfg = Cfg.build p in
     let seen = reachability cfg in
@@ -295,7 +300,7 @@ let run (p : Program.t) : (report, violation list) result =
          | Some cycle -> [ Epsilon_loop { cycle } ]
          | None -> [])
     in
-    if graph_violations <> [] then Error (sort graph_violations)
+    if graph_violations <> [] then Error (sort n graph_violations)
     else begin
       let close_table = Hashtbl.create 16 in
       List.iter

@@ -1,4 +1,6 @@
-(** Binary/program verifier (bytecode-verifier style).
+(** Binary/program verifier (bytecode-verifier style), the one place
+    that decides what an instruction array must satisfy before it
+    reaches a plan.
 
     Statically proves that an instruction array is safe to hand to the
     speculative core: every jump target lands inside the program, every
@@ -7,10 +9,12 @@
     stack depth, and no cycle of non-consuming edges exists — the
     zero-advance divergence mode of backtracking matchers.
 
-    [run] accepts arbitrary instruction arrays (no prior
-    {!Program.validate} required) and collects EVERY violation rather
-    than stopping at the first, so a corrupted image produces a full
-    diagnosis. *)
+    Both entry points accept arbitrary instruction arrays and collect
+    EVERY violation rather than stopping at the first, so a corrupted
+    image produces a full diagnosis. {!structural} is the first phase
+    alone: the shape the core needs to execute without indexing outside
+    the program or aborting on a mismatched close. {!run} adds the graph
+    checks (reachability, zero-advance loops) and the report. *)
 
 type violation =
   | Malformed_instruction of { pc : int; error : Instruction.error }
@@ -34,6 +38,11 @@ type violation =
 val violation_message : violation -> string
 val pp_violation : violation Fmt.t
 
+val violation_pc : int -> violation -> int
+(** [violation_pc length v]: the address [v] points at in a program of
+    [length] instructions ([length] itself for [Missing_eor]). Both
+    entry points order their violations by it. *)
+
 type report = {
   instructions : int;
   reachable : int;        (** = [instructions] for a clean program *)
@@ -51,8 +60,19 @@ type report = {
 
 val pp_report : report Fmt.t
 
+val structural : Program.t -> violation list
+(** The structural phase alone: malformed instructions, EoR placement,
+    jump targets (every field the core dereferences — [fwd] whatever its
+    enable bit says), open/close balance and close kinds. [[]] when the
+    program is structurally sound; violations ordered by address.
+    [Plan.of_program], [Binary.to_bytes], [Binary.of_bytes
+    ~verify:false], [Assembler.parse] and [Compile ~verify:false] run
+    it. *)
+
 val run : Program.t -> (report, violation list) result
-(** Violations are ordered by program address. *)
+(** {!structural}, then, when it is clean, the graph checks
+    ([Unreachable], [Epsilon_loop]). Violations are ordered by program
+    address. *)
 
 val run_exn : Program.t -> report
 (** @raise Invalid_argument listing the first violation. *)

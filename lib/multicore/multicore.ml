@@ -18,16 +18,14 @@ module Span = Alveare_engine.Semantics
 type config = {
   cores : int;
   overlap : int;          (* boundary completion window, bytes *)
-  core_config : Core.config;
 }
 
 let default_overlap = 256
 
-let config ?(cores = 1) ?(overlap = default_overlap)
-    ?(core_config = Core.default_config) () =
+let config ?(cores = 1) ?(overlap = default_overlap) () =
   if cores < 1 then invalid_arg "Multicore.config: cores must be positive";
   if overlap < 0 then invalid_arg "Multicore.config: negative overlap";
-  { cores; overlap; core_config }
+  { cores; overlap }
 
 (* Overlap window sized from the pattern when its match length is
    bounded; unbounded patterns fall back to [cap]. *)
@@ -80,14 +78,11 @@ let rebase a ~lo ~hi =
    the dfa family is domain-shareable (each worker domain materializes
    its own transition table). A top-level function, always applied in
    full, so a one-core run allocates no closure for it. *)
-let scan_region config prefilter plan dfa program stats candidates region =
+let scan_region prefilter plan dfa program stats candidates region =
   match candidates with
   | Some candidates ->
-    Core.find_all_candidates ~config:config.core_config ~stats ~candidates
-      ~plan ?dfa program region
-  | None ->
-    Core.find_all ?prefilter ~plan ?dfa ~config:config.core_config ~stats
-      program region
+    Core.find_all_candidates ~stats ~candidates ~plan ?dfa program region
+  | None -> Core.find_all ?prefilter ~plan ?dfa ~stats program region
 
 let run ?(workers = 1) ?prefilter ?candidates ?plan ?dfa ~config
     (program : Alveare_isa.Program.t) (input : string) : result =
@@ -106,9 +101,7 @@ let run ?(workers = 1) ?prefilter ?candidates ?plan ?dfa ~config
   if config.cores = 1 then begin
     (* one core owns the whole input: scan it in place *)
     let stats = Core.fresh_stats () in
-    let owned =
-      scan_region config prefilter plan dfa program stats candidates input
-    in
+    let owned = scan_region prefilter plan dfa program stats candidates input in
     { matches = owned; cycles = stats.Core.cycles; totals = stats;
       per_core = [| { owned; stats; slice_start = 0; slice_stop = n } |] }
   end
@@ -136,7 +129,7 @@ let run ?(workers = 1) ?prefilter ?candidates ?plan ?dfa ~config
               (* a region ending at the end of input takes a candidate
                  there too (an empty match at offset n) *)
               let hi = if region_stop = n then n + 1 else region_stop in
-              scan_region config prefilter plan dfa program stats
+              scan_region prefilter plan dfa program stats
                 (Option.map (rebase ~lo:slice_start ~hi) candidates)
                 region
               |> List.filter_map (fun (s : Span.span) ->
@@ -163,9 +156,8 @@ let run ?(workers = 1) ?prefilter ?candidates ?plan ?dfa ~config
     { matches; cycles; totals = sum_stats per_core; per_core }
   end
 
-let find_all ?(cores = 1) ?overlap ?core_config ?workers ?prefilter ?plan
-    ?dfa program input =
-  (run ?workers ?prefilter ?plan ?dfa
-     ~config:(config ~cores ?overlap ?core_config ())
+let find_all ?(cores = 1) ?overlap ?workers ?prefilter ?plan ?dfa program
+    input =
+  (run ?workers ?prefilter ?plan ?dfa ~config:(config ~cores ?overlap ())
      program input)
     .matches

@@ -20,13 +20,12 @@ module Span = Alveare_engine.Semantics
 type config = {
   cores : int;
   overlap : int;
-  core_config : Core.config;
 }
+(** Every core scans with {!Core.default_config}. *)
 
 val default_overlap : int
 
-val config :
-  ?cores:int -> ?overlap:int -> ?core_config:Core.config -> unit -> config
+val config : ?cores:int -> ?overlap:int -> unit -> config
 
 val overlap_for_ast : ?cap:int -> Alveare_frontend.Ast.t -> int
 (** Overlap window from the pattern's bounded match length, or [cap]. *)
@@ -68,7 +67,7 @@ val run :
     raises [Invalid_argument].
     [plan] supplies a pre-decoded execution plan (e.g. from
     {!Alveare_compiler}'s [compiled.plan]); without one, the program is
-    validated and lowered once per [run], never per slice. Plans are
+    checked and lowered once per [run], never per slice. Plans are
     immutable and shared across worker domains. [dfa] engages the
     lazy-DFA overlay inside every slice scan (must match [plan], as in
     {!Alveare_arch.Core}); the family is domain-shareable — each worker
@@ -80,7 +79,7 @@ val run :
     record. *)
 
 val find_all :
-  ?cores:int -> ?overlap:int -> ?core_config:Core.config -> ?workers:int ->
+  ?cores:int -> ?overlap:int -> ?workers:int ->
   ?prefilter:Alveare_prefilter.Prefilter.t -> ?plan:Alveare_arch.Plan.t ->
   ?dfa:Alveare_arch.Dfa_overlay.family ->
   Alveare_isa.Program.t -> string -> Span.span list

@@ -19,7 +19,6 @@ type config = {
   buffer_bytes : int;   (* on-chip chunk capacity *)
   overlap : int;        (* carry-over window across refills *)
   cores : int;
-  core_config : Core.config;
   load_bytes_per_cycle : float; (* DMA fill rate *)
 }
 
@@ -31,15 +30,14 @@ let default_buffer_bytes = 64 * 1024
 let default_load_bytes_per_cycle = 8.0
 
 let config ?(buffer_bytes = default_buffer_bytes) ?(overlap = Multicore.default_overlap)
-    ?(cores = 1) ?(core_config = Core.default_config)
-    ?(load_bytes_per_cycle = default_load_bytes_per_cycle) () =
+    ?(cores = 1) ?(load_bytes_per_cycle = default_load_bytes_per_cycle) () =
   if buffer_bytes <= 0 then invalid_arg "Stream_runner.config: buffer_bytes";
   if overlap < 0 then invalid_arg "Stream_runner.config: overlap";
   if overlap >= buffer_bytes then
     invalid_arg "Stream_runner.config: overlap must be below the buffer size";
   if load_bytes_per_cycle <= 0.0 then
     invalid_arg "Stream_runner.config: load_bytes_per_cycle";
-  { buffer_bytes; overlap; cores; core_config; load_bytes_per_cycle }
+  { buffer_bytes; overlap; cores; load_bytes_per_cycle }
 
 type result = {
   matches : Span.span list;
@@ -54,7 +52,7 @@ let load_cycles_of_bytes ~config bytes =
 
 let run ?(workers = 1) ?plan ?dfa ~config (program : Alveare_isa.Program.t)
     (input : string) : result =
-  (* Validate and lower once per stream, not once per chunk. *)
+  (* Check and lower once per stream, not once per chunk. *)
   let plan =
     match plan with
     | Some p -> p
@@ -63,8 +61,7 @@ let run ?(workers = 1) ?plan ?dfa ~config (program : Alveare_isa.Program.t)
   let n = String.length input in
   let payload = config.buffer_bytes - config.overlap in
   let mc_config =
-    Multicore.config ~cores:config.cores ~overlap:config.overlap
-      ~core_config:config.core_config ()
+    Multicore.config ~cores:config.cores ~overlap:config.overlap ()
   in
   (* Chunk boundaries are a pure function of the stream length, so they
      are enumerated up front; each chunk's compute (the expensive part)

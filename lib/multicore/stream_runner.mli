@@ -8,9 +8,9 @@ type config = {
   buffer_bytes : int;
   overlap : int;
   cores : int;
-  core_config : Alveare_arch.Core.config;
   load_bytes_per_cycle : float;
 }
+(** Every core scans with {!Alveare_arch.Core.default_config}. *)
 
 val default_buffer_bytes : int
 (** 64 KiB — the BRAM-budget-sized local buffer. *)
@@ -23,7 +23,6 @@ val config :
   ?buffer_bytes:int ->
   ?overlap:int ->
   ?cores:int ->
-  ?core_config:Alveare_arch.Core.config ->
   ?load_bytes_per_cycle:float ->
   unit ->
   config
@@ -45,7 +44,7 @@ val run :
     sequentially over the in-order chunk results, so matches and every
     cycle count are identical to the sequential run for any value.
     Default 1 = sequential. [plan] as in {!Multicore.run}: without one,
-    the program is validated and lowered once per stream, never per
+    the program is checked and lowered once per stream, never per
     chunk. [dfa] as in {!Multicore.run}; the family's transition table
     persists across chunk refills, so a resumed stream keeps the states
     earlier chunks already built. *)

@@ -14,15 +14,15 @@ type outcome = {
 }
 
 let run ?full_bytes ?(cores = 1) ?(overlap = Multicore.default_overlap)
-    ?(core_config = Alveare_arch.Core.default_config) ?prefilter ?plan ?dfa
-    (program : Alveare_isa.Program.t) (input : string) : outcome =
+    ?prefilter ?plan ?dfa (program : Alveare_isa.Program.t) (input : string)
+  : outcome =
   if cores > Area.max_cores () then
     invalid_arg
       (Printf.sprintf "Alveare_fpga.run: %d cores do not fit the XCZU3EG (max %d)"
          cores (Area.max_cores ()));
   let mc =
     Multicore.run ?prefilter ?plan ?dfa
-      ~config:(Multicore.config ~cores ~overlap ~core_config ())
+      ~config:(Multicore.config ~cores ~overlap ())
       program input
   in
   let k = Measure.scale ~sample_bytes:(max 1 (String.length input)) ~full_bytes in

@@ -12,7 +12,6 @@ val run :
   ?full_bytes:int ->
   ?cores:int ->
   ?overlap:int ->
-  ?core_config:Alveare_arch.Core.config ->
   ?prefilter:Alveare_prefilter.Prefilter.t ->
   ?plan:Alveare_arch.Plan.t ->
   ?dfa:Alveare_arch.Dfa_overlay.family ->

@@ -295,9 +295,16 @@ let scan_from ?trace ~config ~stats ~all ~next program input from =
 
 (* --- Entry points -------------------------------------------------------
 
-   Each validates the program per call, then scans from a candidate
-   source: [Some offset] is the smallest offset >= the query worth
-   attempting. *)
+   Each checks the program per call with the verifier's structural phase
+   (the check [Plan.of_program] makes, so both executors refuse the same
+   programs), then scans from a candidate source: [Some offset] is the
+   smallest offset >= the query worth attempting. *)
+
+let check_program program =
+  match Alveare_isa.Verify.structural program with
+  | [] -> ()
+  | v :: _ ->
+    invalid_arg ("Core_oracle: " ^ Alveare_isa.Verify.violation_message v)
 
 let prefilter_next ~anchor_at prefilter input =
   match prefilter with
@@ -309,7 +316,7 @@ let prefilter_next ~anchor_at prefilter input =
 
 let run ?(config = default_config) ?(stats = fresh_stats ()) ?trace ~all ~next
     program input from =
-  Alveare_isa.Program.validate_exn program;
+  check_program program;
   scan_from ?trace ~config ~stats ~all ~next program input from
 
 let find_all ?config ?stats ?trace ?prefilter program input =
@@ -331,5 +338,5 @@ let find_all_candidates ?config ?stats ~candidates program input =
 
 let match_at ?(config = default_config) ?(stats = fresh_stats ()) program
     input start =
-  Alveare_isa.Program.validate_exn program;
+  check_program program;
   attempt ~config ~stats program input start

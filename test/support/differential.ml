@@ -278,7 +278,10 @@ let run_extended_corpus ?(on_failure = fun _ _ -> ()) ~count ~seed ()
 let check_opt_case ast input : failure list =
   let pattern = Alveare_frontend.Ast.to_pattern ast in
   match
-    (Compile.compile_ast ~optimize:true ast, Compile.compile_ast ~optimize:false ast)
+    ( Compile.compile_ast ast,
+      Compile.compile_ast
+        ~options:{ Alveare_ir.Lower.default_options with optimize = false }
+        ast )
   with
   | Error _, Error _ -> [] (* legitimately uncompilable either way *)
   | Ok _, Error _ ->

@@ -3,7 +3,7 @@
    own cost simulator.
 
    The witness contract is about the PATTERN's backtracking semantics,
-   so attacks are driven at a program compiled with [~optimize:false]
+   so attacks are driven at a program compiled with optimisation off
    — the mid-end rewriter deliberately neutralises shapes like
    "(a+)+b" (it rewrites them to an equivalent unambiguous form), and
    a validated verdict must not depend on that rescue.
@@ -26,7 +26,10 @@ module Compile = Alveare_compiler.Compile
 module Core = Alveare_arch.Core
 module A = Alveare_analysis.Ambiguity
 
-let compile_for_attack pattern = Compile.compile_exn ~optimize:false pattern
+let compile_for_attack pattern =
+  Compile.compile_exn
+    ~options:{ Alveare_ir.Lower.default_options with optimize = false }
+    pattern
 
 (* Cycle cost of one anchored attempt at offset 0 — the quantity an
    attacker controls per injected input. *)

@@ -288,7 +288,8 @@ let qcheck_witness_sound =
       | A.Linear -> true
       | A.Exponential | A.Polynomial _ ->
         (match
-           Compile.compile_ast ~optimize:false
+           Compile.compile_ast
+             ~options:{ Alveare_ir.Lower.default_options with optimize = false }
              ~pattern:(Ast.to_pattern ast) ast
          with
          | Error _ -> true (* unemittable AST: nothing to drive *)

@@ -5,7 +5,7 @@
 
 module I = Alveare_isa.Instruction
 module Binary = Alveare_isa.Binary
-module Verify = Alveare_analysis.Verify
+module Verify = Alveare_isa.Verify
 module Lint = Alveare_analysis.Lint
 module Compile = Alveare_compiler.Compile
 module Ruleset = Alveare_compiler.Ruleset
@@ -174,6 +174,72 @@ let test_binary_verify_gate () =
    | Error e ->
      Alcotest.failf "opt-out load failed: %s" (Binary.error_message e))
 
+(* [(ab|cd)e] with both alternation OPENs' forward-jump enable bits
+   cleared and their targets set to 200: the core reads [fwd] whatever
+   the enable bit says, so this must never reach a plan. The same image
+   is test/bad_fwd.alv. *)
+let disabled_fwd () =
+  Array.map
+    (fun (i : I.t) ->
+       match i.I.reference with
+       | I.Ref_open o ->
+         let o = { o with I.fwd_enabled = false; fwd = 200 } in
+         { i with I.reference = I.Ref_open o }
+       | I.Ref_none | I.Ref_chars _ -> i)
+    (Compile.compile_exn "(ab|cd)e").Compile.program
+
+let forward_jumps vs =
+  List.map
+    (function
+      | Verify.Bad_jump { pc; which = "forward"; target; _ } -> (pc, target)
+      | v ->
+        Alcotest.failf "unexpected violation: %s" (Verify.violation_message v))
+    vs
+
+let test_disabled_fwd_refused () =
+  let p = disabled_fwd () in
+  Alcotest.(check (list (pair int int))) "verifier: both forward jumps"
+    [ (0, 200); (2, 202) ] (forward_jumps (violations p));
+  check "plan refused" true
+    (match Alveare_arch.Plan.of_program p with
+     | _ -> false
+     | exception Invalid_argument _ -> true);
+  check "serialiser refused" true
+    (match Binary.to_bytes p with
+     | Error (Binary.Verify_error _) -> true
+     | Ok _ | Error _ -> false);
+  (* [to_bytes] refuses it, so encode the image by hand. *)
+  let n = Array.length p in
+  let image = Bytes.make (Binary.header_size + (Binary.word_size * n)) '\000' in
+  Bytes.blit_string Binary.magic 0 image 0 4;
+  Bytes.set_uint8 image 4 Binary.version;
+  Bytes.set_int32_le image 8 (Int32.of_int n);
+  Array.iteri
+    (fun k i ->
+       Bytes.set_int64_le image (Binary.header_size + (Binary.word_size * k))
+         (Int64.of_int (Alveare_isa.Encoding.encode_exn i)))
+    p;
+  check "unverified load refused" true
+    (match Binary.of_bytes ~verify:false image with
+     | Error (Binary.Verify_error _) -> true
+     | Ok _ | Error _ -> false)
+
+(* The structural phase alone: the violations [run] stops at when the
+   structure is broken, and nothing for a program only the graph checks
+   reject (the alt self-loop above). *)
+let test_structural_phase () =
+  let p = disabled_fwd () in
+  Alcotest.(check (list (pair int int))) "both forward jumps"
+    [ (0, 200); (2, 202) ] (forward_jumps (Verify.structural p));
+  check "same as run" true (Verify.structural p = violations p);
+  let self_loop =
+    [| alt ~bwd:0 2;
+       I.fuse_close (I.base I.And "a") I.Alt_close;
+       I.eor |]
+  in
+  check "graph violation is not structural" true
+    (Verify.structural self_loop = [] && violations self_loop <> [])
+
 let test_assembler_line_text () =
   let src = "AND 'a'\nBOGUS TOKENS\nEOR" in
   match Alveare_isa.Assembler.parse src with
@@ -266,6 +332,9 @@ let () =
           Alcotest.test_case "stack bounds" `Quick test_stack_bound ] );
       ( "integration",
         [ Alcotest.test_case "binary load gate" `Quick test_binary_verify_gate;
+          Alcotest.test_case "disabled forward jumps refused" `Quick
+            test_disabled_fwd_refused;
+          Alcotest.test_case "structural phase" `Quick test_structural_phase;
           Alcotest.test_case "assembler line text" `Quick
             test_assembler_line_text ] );
       ( "lint",

@@ -127,8 +127,9 @@ let test_stack_capacity_sufficient () =
     (Core.find_all ~config c.Compile.program "aaab" = [ { S.start = 0; stop = 4 } ])
 
 let test_malformed_execution () =
-  (* Statically balanced but dynamically mismatched: an alternation-style
-     open closed by a quantifier close. *)
+  (* Balanced but mismatched: an alternation-style open closed by a
+     quantifier close. [Plan.of_program] refuses it; lowered unchecked,
+     the executor aborts on the close. *)
   let open_alt =
     I.open_sub
       { I.min_enabled = false; max_enabled = false; bwd_enabled = false;
@@ -136,8 +137,11 @@ let test_malformed_execution () =
         bwd = 0; fwd = 2 }
   in
   let program = [| open_alt; I.close I.Quant_greedy; I.eor |] in
-  Alveare_isa.Program.validate_exn program;
-  match Core.match_at program "abc" 0 with
+  (match Core.match_at program "abc" 0 with
+   | _ -> Alcotest.fail "expected Plan.of_program to refuse the program"
+   | exception Invalid_argument _ -> ());
+  let plan = Alveare_arch.Plan.of_program_unchecked program in
+  match Core.match_at ~plan program "abc" 0 with
   | _ -> Alcotest.fail "expected malformed-execution error"
   | exception Core.Exec_error (Core.Malformed _) -> ()
 

@@ -1,11 +1,12 @@
 (* Unit + property tests for the ISA layer: instruction construction and
    validation, bit-accurate encoding against the paper's worked example,
-   whole-program validation, and the binary container format. *)
+   the verifier's structural phase, and the binary container format. *)
 
 module I = Alveare_isa.Instruction
 module E = Alveare_isa.Encoding
 module P = Alveare_isa.Program
 module B = Alveare_isa.Binary
+module V = Alveare_isa.Verify
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -208,20 +209,25 @@ let test_decode_fuzz_qcheck () =
     (Test.make ~name:"decode fuzz: reject or round-trip" ~count:5000
        ~print:(Printf.sprintf "0x%011x") gen_word prop)
 
-(* --- Program validation ------------------------------------------------ *)
+(* --- Program structure ------------------------------------------------- *)
 
 let quant_open fwd =
   I.open_sub { default_open with fwd }
 
 let test_program_validation () =
-  let okp p = match P.validate p with Ok () -> true | Error _ -> false in
+  let okp p = V.structural p = [] in
   check "worked example valid" true (okp worked_example);
   check "empty invalid" false (okp [||]);
   check "missing EoR" false (okp [| I.base I.And "a" |]);
   check "interior EoR" false (okp [| I.eor; I.base I.And "a"; I.eor |]);
   check "jump out of range" false (okp [| quant_open 60; I.close I.Quant_greedy; I.eor |]);
+  check "disabled jump out of range" false
+    (okp
+       [| I.open_sub { default_open with fwd = 60; fwd_enabled = false };
+          I.close I.Quant_greedy; I.eor |]);
   check "unbalanced close" false (okp [| I.close I.Close; I.eor |]);
   check "unclosed open" false (okp [| quant_open 1; I.eor |]);
+  check "mismatched close" false (okp [| quant_open 2; I.close I.Close; I.eor |]);
   check_int "code size excludes EoR" 2 (P.code_size worked_example)
 
 let test_histogram () =

@@ -5,7 +5,7 @@
    warning-severity lint diagnostics. *)
 
 module Compile = Alveare_compiler.Compile
-module Verify = Alveare_analysis.Verify
+module Verify = Alveare_isa.Verify
 module Lint = Alveare_analysis.Lint
 module Rng = Alveare_workloads.Rng
 
@@ -121,7 +121,10 @@ let test_opt_total_on_workloads () =
     List.iter
       (fun p ->
          let compiled optimize =
-           match Compile.compile ~optimize p with
+           match
+             Compile.compile
+               ~options:{ Alveare_ir.Lower.default_options with optimize } p
+           with
            | Error e ->
              Alcotest.failf "%S (optimize:%b) failed to compile: %s" p optimize
                (Compile.error_message e)

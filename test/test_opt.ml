@@ -285,7 +285,9 @@ let qcheck_preserves_simulator =
     ~print:Gen_ast.print_ast_and_input Gen_ast.gen_ast_and_input
     (fun (ast, input) ->
       let input = Gen_ast.cap_exponential ast input in
-      let compile optimize = Compile.compile_ast ~optimize ast in
+      let compile optimize =
+        Compile.compile_ast ~options:{ Lower.default_options with optimize } ast
+      in
       match compile true, compile false with
       | Ok a, Ok b ->
         Core.find_all a.Compile.program input
@@ -312,7 +314,9 @@ let qcheck_rolling_differential =
 
 (* --- Code-size effect ------------------------------------------------------ *)
 
-let code_size ~optimize pat = Compile.code_size (Compile.compile_exn ~optimize pat)
+let code_size ~optimize pat =
+  Compile.code_size
+    (Compile.compile_exn ~options:{ Lower.default_options with optimize } pat)
 
 let test_code_size_improvements () =
   let improves pat =
