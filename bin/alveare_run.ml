@@ -362,7 +362,7 @@ let run pattern binary rules text file cores quiet stats_flag trace_path
      | true, None ->
        Fmt.epr "alveare_run: --compare needs a PATTERN (baselines need the AST)@."
      | false, _ -> ());
-    if stats_flag then
+    if stats_flag then begin
       Array.iteri
         (fun k (c : Multicore.core_result) ->
            let s = c.Multicore.stats in
@@ -374,6 +374,10 @@ let run pattern binary rules text file cores quiet stats_flag trace_path
              s.Core.offsets_scanned s.Core.offsets_pruned
              s.Core.max_stack_depth (List.length c.Multicore.owned))
         result.Multicore.per_core;
+      if cores > 1 then
+        Fmt.pr "stitch: %d host re-attempt(s), charged to no core@."
+          result.Multicore.stitch_attempts
+    end;
     0
 
 let pattern_arg =

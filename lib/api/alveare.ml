@@ -43,7 +43,6 @@ module Core = Alveare_arch.Core
 module Trace = Alveare_arch.Trace
 module Vcd = Alveare_arch.Vcd
 module Multicore = Alveare_multicore.Multicore
-module Stream_runner = Alveare_multicore.Stream_runner
 
 module Exec = struct
   module Pool = Alveare_exec.Pool

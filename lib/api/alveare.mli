@@ -52,7 +52,6 @@ module Core = Alveare_arch.Core
 module Trace = Alveare_arch.Trace
 module Vcd = Alveare_arch.Vcd
 module Multicore = Alveare_multicore.Multicore
-module Stream_runner = Alveare_multicore.Stream_runner
 
 (** Host-parallel execution: the Domain worker pool (deterministic
     result ordering) and the thread-safe LRU behind
@@ -115,12 +114,13 @@ val compile_exn : ?extended:bool -> string -> compiled
 val find_all :
   ?cores:int -> ?workers:int -> ?extended:bool -> string -> string ->
   (span list, string) result
-(** [find_all pattern input] — all matches on the simulated DSA,
-    non-overlapping at one core. [cores] > 1 uses the multi-core
+(** [find_all pattern input] — all matches on the simulated DSA, left
+    to right and non-overlapping. [cores] > 1 uses the multi-core
     scale-out, with the overlap window sized from the pattern by
-    {!Multicore.overlap_for_ast}; there each core restarts at its own
-    slice, so the spans can overlap (see {!Multicore}). [workers]
-    parallelises the simulated cores on host domains. The scan skips
+    {!Multicore.overlap_for_ast}; its stitched cores return the
+    one-core spans, except that a match longer than the window is cut
+    at its region's end (see {!Multicore}). [workers] parallelises the
+    simulated cores on host domains. The scan skips
     start offsets the compiled pattern's first byte-set rules out and
     executes backtracking-free fragments on the lazy-DFA overlay
     ({!Alveare_arch.Dfa_overlay}); neither changes the spans.
@@ -145,4 +145,5 @@ val simulate :
     configuration (300 MHz + PYNQ dispatch). Runs the compiled plan and
     lazy-DFA overlay with the pattern's overlap window, as [find_all]
     does, but without the prefilter: the modelled cycles are those of
-    the dense scan. *)
+    the dense scan, as in the paper's figures. DESIGN.md's "Execution /
+    cost model" says which callers charge which scan. *)

@@ -110,21 +110,34 @@ let dense_next plan input =
     (* no filter, or a zero-width one: every offset is a candidate *)
     Fun.id
 
+(* Candidate source from an explicit sorted offset array (from the
+   ruleset Aho-Corasick pass). The scan only ever queries
+   non-decreasing offsets, so a monotone cursor into the array answers
+   each query in amortised O(1). *)
+let candidates_next candidates =
+  let m = Array.length candidates in
+  let pos = ref 0 in
+  fun offset ->
+    while !pos < m && Array.unsafe_get candidates !pos < offset do incr pos done;
+    if !pos >= m then max_int else Array.unsafe_get candidates !pos
+
 (* Candidate source from compile-time prefilter facts. Soundness: the
    first set over-approximates, so a byte outside it can never begin a
    match, and the skip loop is only engaged for non-nullable patterns —
    empty matches could otherwise start at any offset, including the
-   end-of-input position. Anchored patterns attempt only at the initial
-   offset. *)
-let prefilter_next ~anchor_at prefilter plan input =
+   end-of-input position. *)
+let prefilter_next prefilter plan input =
   match prefilter with
   | Some pf when Alveare_prefilter.Prefilter.first_usable pf ->
-    if pf.Alveare_prefilter.Prefilter.anchored then fun offset ->
-      if offset = anchor_at then offset else max_int
-    else fun offset ->
+    fun offset ->
       Option.value ~default:max_int
         (Alveare_prefilter.Prefilter.next_candidate pf input offset)
   | Some _ | None -> dense_next plan input
+
+let candidate_source ?prefilter ?candidates plan input =
+  match candidates with
+  | Some candidates -> candidates_next candidates
+  | None -> prefilter_next prefilter plan input
 
 (* --- Entry points -------------------------------------------------------
 
@@ -144,7 +157,7 @@ let match_at ?(config = default_config) ?(stats = fresh_stats ()) ?plan
 let search ?(config = default_config) ?(stats = fresh_stats ()) ?prefilter
     ?plan ?dfa ?(from = 0) program input : Span.span option =
   let plan = plan_of ?plan program in
-  let next = prefilter_next ~anchor_at:from prefilter plan input in
+  let next = prefilter_next prefilter plan input in
   match scan ?dfa ~config ~stats ~all:false ~next plan input from with
   | [] -> None
   | span :: _ -> Some span
@@ -152,21 +165,14 @@ let search ?(config = default_config) ?(stats = fresh_stats ()) ?prefilter
 let find_all ?(config = default_config) ?(stats = fresh_stats ()) ?trace
     ?prefilter ?plan ?dfa program input : Span.span list =
   let plan = plan_of ?plan program in
-  let next = prefilter_next ~anchor_at:0 prefilter plan input in
+  let next = prefilter_next prefilter plan input in
   scan ?trace ?dfa ~config ~stats ~all:true ~next plan input 0
 
-(* Scan restricted to an explicit sorted candidate-offset array (from
-   the ruleset Aho-Corasick pass): every other offset is pruned without
-   an attempt, with the same accounting as the skip loop. The scan only
-   ever queries non-decreasing offsets, so a monotone cursor into the
-   sorted array answers each query in amortised O(1). *)
+(* Scan restricted to an explicit sorted candidate-offset array: every
+   other offset is pruned without an attempt, with the same accounting
+   as the skip loop. *)
 let find_all_candidates ?(config = default_config) ?(stats = fresh_stats ())
     ~candidates ?plan ?dfa program input : Span.span list =
   let plan = plan_of ?plan program in
-  let m = Array.length candidates in
-  let pos = ref 0 in
-  let next offset =
-    while !pos < m && Array.unsafe_get candidates !pos < offset do incr pos done;
-    if !pos >= m then max_int else Array.unsafe_get candidates !pos
-  in
+  let next = candidates_next candidates in
   scan ?dfa ~config ~stats ~all:true ~next plan input 0

@@ -97,3 +97,15 @@ val find_all_candidates :
     advances monotonically with the scan (amortised O(1) per offset).
     Equal to {!find_all} whenever [candidates] contains every true
     match start. *)
+
+val candidate_source :
+  ?prefilter:Alveare_prefilter.Prefilter.t -> ?candidates:int array ->
+  Plan.t -> string -> int -> int
+(** The candidate source a scan of [input] attempts from, as
+    {!find_all_candidates} ([candidates]) or {!find_all} ([prefilter],
+    or the dense scan) use it: applied to an offset, the smallest
+    offset at or after it worth attempting. When none is left, the
+    dense source answers the end of input (where its leading test
+    fails) and the others a value past it. The [candidates] source is a cursor that
+    only moves forward, so query offsets must not decrease; take a
+    fresh source per scan. *)

@@ -12,7 +12,7 @@
      [Ac.find_iter] bucketing would (same pushes, same sort_uniq) —
      those rules still attempt post-sweep, since AC reports at literal
      END positions;
-   - every non-covered, non-anchored rule with a usable first set gets
+   - every non-covered rule with a usable first set gets
      a 256-entry shared dispatch table slot per first-set byte; the
      sweep offers each position whose byte is in the rule's first
      bitmap to the rule's {!Scan_cursor}, the same scan-loop body
@@ -29,8 +29,8 @@
    gets the same outcome; [scan] still returns one per rule. The
    grouping is defined here only ({!representative}).
 
-   Everything else (anchored, nullable, no-first-set, derivative
-   backend) is left to the caller's residual per-rule path. The hits,
+   Everything else (nullable, no-first-set, derivative backend) is
+   left to the caller's residual per-rule path. The hits,
    spans, and every per-rule stats counter are bit-identical to a
    per-rule scan — the @onepasscheck differential battery pins this. *)
 
@@ -45,7 +45,7 @@ module Span = Alveare_engine.Semantics
 (* --- Classification ----------------------------------------------------- *)
 
 type klass =
-  | K_residual  (* caller's per-rule path: anchored / nullable / derivative *)
+  | K_residual  (* caller's per-rule path: nullable / derivative *)
   | K_ac        (* AC-covered: candidates collected by the shared sweep *)
   | K_first     (* first-set dispatch: scanned in-sweep by a cursor *)
 
@@ -96,10 +96,8 @@ let build ~(rules : Compile.compiled array)
          | Compile.Derivative _ -> K_residual
          | Compile.Isa | Compile.Isa_lowered ->
            if covered i then K_ac
-           else
-             let pf = c.Compile.prefilter in
-             if Pf.first_usable pf && not pf.Pf.anchored then K_first
-             else K_residual)
+           else if Pf.first_usable c.Compile.prefilter then K_first
+           else K_residual)
       rules
   in
   let dispatch_l = Array.make 256 [] in

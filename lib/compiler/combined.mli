@@ -53,8 +53,8 @@ type outcome =
       (** AC-covered: sorted candidate start offsets, identical to the
           per-rule bucketing; the caller attempts post-sweep *)
   | Residual
-      (** untouched: anchored / nullable / no-first-set / derivative
-          rules stay on the caller's per-rule path *)
+      (** untouched: nullable / no-first-set / derivative rules stay
+          on the caller's per-rule path *)
 
 val scan : ?cores:int -> t -> string -> outcome array
 (** One streaming pass over the input; one outcome per rule, in rule

@@ -150,11 +150,6 @@ let validate i : (unit, error) result =
     check (in_range 0 max_extended_fwd r.fwd) (Bad_field "forward jump")
   | Ref_none | Ref_chars _ -> Ok ()
 
-let validate_exn i =
-  match validate i with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Instruction.validate: " ^ error_message e)
-
 let equal_base_op (a : base_op) b = a = b
 let equal_close_op (a : close_op) b = a = b
 let equal (a : t) b = a = b

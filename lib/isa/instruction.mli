@@ -90,8 +90,6 @@ val validate : t -> (unit, error) result
 (** Structural well-formedness: reference ownership, field ranges, NOT
     composition rules. *)
 
-val validate_exn : t -> unit
-
 val equal : t -> t -> bool
 val equal_base_op : base_op -> base_op -> bool
 val equal_close_op : close_op -> close_op -> bool

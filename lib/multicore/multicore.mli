@@ -1,18 +1,17 @@
 (** Multi-core scale-out (paper §6): N independent cores with private
-    memories scan slices of the stream for the same compiled RE. Matches
-    are attributed to the core owning their start offset; each core scans
-    [overlap] bytes past its slice so boundary matches complete. The
-    divide-and-conquer approximates a one-core scan in two ways:
-    - a match longer than the overlap window can straddle slices and be
-      truncated; size the window from the pattern with
-      {!overlap_for_ast};
-    - each core restarts its scan at its own slice start, so it can
-      keep a match that starts inside a span an earlier core already
-      reported: at [cores > 1] the matches can overlap. [([^A-Z])+]
-      over [GET /index.html user=root aaab 12345] gives [3-36] on one
-      core and [3-36], [9-36], [18-36], [27-36] on four.
-    {!run} is the one place that cuts an input into core regions, at
-    every core count. *)
+    memories scan slices of the stream for the same compiled RE. Each
+    core scans [overlap] bytes past its slice so boundary matches
+    complete. When the cores return, the host stitches their lists, in
+    core order, into the one-core scan's: a core's list is the one-core
+    list from the first offset both scans visit, and where a kept match
+    runs past a core's slice start, the host re-attempts from the
+    match's end on the whole input until the two scans meet. The stitch
+    is host work: it charges no core. The matches equal the one-core
+    scan's at every core count, with one approximation: a match longer
+    than the overlap window can straddle slices and be truncated at its
+    region's end; size the window from the pattern with
+    {!overlap_for_ast}. {!run} is the one place that cuts an input into
+    core regions, at every core count. *)
 
 module Core = Alveare_arch.Core
 module Span = Alveare_engine.Semantics
@@ -32,6 +31,7 @@ val overlap_for_ast : ?cap:int -> Alveare_frontend.Ast.t -> int
 
 type core_result = {
   owned : Span.span list;
+      (** the kept matches that start in this core's slice *)
   stats : Core.stats;
   slice_start : int;
   slice_stop : int;
@@ -39,13 +39,16 @@ type core_result = {
 
 type result = {
   matches : Span.span list;
-      (** sorted, exact duplicates removed; at [cores > 1] two matches
-          can overlap (see the module header) *)
+      (** left to right, non-overlapping: the concatenation of the
+          cores' [owned] *)
   cycles : int;               (** wall-clock = max over cores *)
   totals : Core.stats;
       (** every counter summed over cores, except [max_stack_depth]:
           the deepest core's *)
   per_core : core_result array;
+  stitch_attempts : int;
+      (** the stitch's re-attempts on the host; in no core's stats, no
+          modelled cycle. 0 at one core. *)
 }
 
 val run :

@@ -29,7 +29,6 @@ type t = {
   first_bitmap : Bytes.t;
   first_count : int;
   nullable : bool;
-  anchored : bool;
   min_length : int;
   literals : literals option;
 }
@@ -255,14 +254,13 @@ let bitmap_of_charset set =
     () set;
   b
 
-let analyze ?(anchored = false) ast =
+let analyze ast =
   let first = first_set ast in
   let nullable = Ast.nullable ast in
   { first;
     first_bitmap = bitmap_of_charset first;
     first_count = Charset.cardinal first;
     nullable;
-    anchored;
     min_length = min_length ast;
     literals = (if nullable then None else best_literals ast) }
 
@@ -290,7 +288,7 @@ let equal_literals a b =
 
 let equal a b =
   Charset.equal a.first b.first
-  && a.nullable = b.nullable && a.anchored = b.anchored
+  && a.nullable = b.nullable
   && a.min_length = b.min_length
   && (match a.literals, b.literals with
       | None, None -> true
@@ -302,13 +300,16 @@ let equal a b =
 let magic = "ALVP"
 let version = 1
 
+(* The flag bits a sidecar may set: 1 nullable, 4 literal table
+   present, 8 exact literals. [of_bytes] refuses any other. *)
+let flag_bits = 1 lor 4 lor 8
+
 let to_bytes t =
   let buf = Buffer.create 64 in
   Buffer.add_string buf magic;
   Buffer.add_uint8 buf version;
   let flags =
     (if t.nullable then 1 else 0)
-    lor (if t.anchored then 2 else 0)
     lor (match t.literals with Some _ -> 4 | None -> 0)
     lor (match t.literals with Some { exact = true; _ } -> 8 | _ -> 0)
   in
@@ -381,7 +382,11 @@ let of_bytes b =
       match !err with
       | Some m -> Error m
       | None ->
-        if min_len < 0 then Error "negative min length"
+        if flags land lnot flag_bits <> 0 then
+          Error
+            (Printf.sprintf "undefined flag bits 0x%02x"
+               (flags land lnot flag_bits))
+        else if min_len < 0 then Error "negative min length"
         else if (match literals with
                  | Some { offset; lits; _ } ->
                    offset < 0 || List.exists (fun l -> l = "") lits
@@ -400,7 +405,6 @@ let of_bytes b =
               first_bitmap = bitmap;
               first_count = Charset.cardinal first;
               nullable = flags land 1 <> 0;
-              anchored = flags land 2 <> 0;
               min_length = min_len;
               literals }
         end
@@ -408,9 +412,8 @@ let of_bytes b =
   end
 
 let describe t =
-  Printf.sprintf "first{%d}%s%s min_len=%d%s" t.first_count
+  Printf.sprintf "first{%d}%s min_len=%d%s" t.first_count
     (if t.nullable then " nullable" else "")
-    (if t.anchored then " anchored" else "")
     t.min_length
     (match t.literals with
      | None -> ""

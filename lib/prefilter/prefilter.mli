@@ -11,10 +11,6 @@
       match contains one of [lits] starting exactly [offset] bytes after
       the match start (offset 0 = prefix literals). These feed the
       Aho-Corasick union automaton of {!Ac} for multi-rule scans;
-    - {b anchoring} — the surface syntax has no [^], so parsed patterns
-      are never anchored; the flag exists for callers that know a
-      pattern is start-anchored ({!analyze}'s [?anchored]) and restricts
-      the scan to a single attempt at the starting offset;
     - the {b minimum match length} in bytes.
 
     Facts are computed on the normalised AST, stored in
@@ -40,14 +36,12 @@ type t = {
   first_bitmap : Bytes.t;  (** 32-byte bitmap over byte values 0..255 *)
   first_count : int;       (** [Charset.cardinal first] *)
   nullable : bool;         (** the pattern matches the empty string *)
-  anchored : bool;
   min_length : int;        (** minimum match length in bytes *)
   literals : literals option;
 }
 
-val analyze : ?anchored:bool -> Alveare_frontend.Ast.t -> t
-(** Total: never raises. [anchored] defaults to [false] (the surface
-    syntax cannot express [^]). *)
+val analyze : Alveare_frontend.Ast.t -> t
+(** Total: never raises. *)
 
 val fixed_length : Alveare_frontend.Ast.t -> int option
 (** The length of every match, when all matches have the same one. *)
@@ -80,7 +74,9 @@ val magic : string
 val version : int
 val to_bytes : t -> bytes
 val of_bytes : bytes -> (t, string) result
-(** Never raises; malformed images return [Error]. *)
+(** Never raises; malformed images return [Error], among them any image
+    with a flag bit other than nullable (1), literal table (4) and
+    exact (8) set. *)
 
 val describe : t -> string
 (** One-line human summary, e.g.

@@ -65,7 +65,9 @@ type scan_stats = {
           counts fewer attempts and cycles for the same spans
           ([(GET|POST) /[a-z]*] over 50 tokens, one in five [GET /abc]:
           90 attempts and 590 cycles as a [Scan], 10 and 190 as a
-          ruleset). *)
+          ruleset). Both charge the first-set skip, not the dense scan
+          of the paper's figures; DESIGN.md's "Execution / cost model"
+          says which callers charge which scan. *)
 }
 
 type error_code =

@@ -306,12 +306,9 @@ let check_program program =
   | v :: _ ->
     invalid_arg ("Core_oracle: " ^ Alveare_isa.Verify.violation_message v)
 
-let prefilter_next ~anchor_at prefilter input =
+let prefilter_next prefilter input =
   match prefilter with
-  | Some pf when Pf.first_usable pf ->
-    if pf.Pf.anchored then fun offset ->
-      if offset = anchor_at then Some offset else None
-    else fun offset -> Pf.next_candidate pf input offset
+  | Some pf when Pf.first_usable pf -> Pf.next_candidate pf input
   | Some _ | None -> Option.some
 
 let run ?(config = default_config) ?(stats = fresh_stats ()) ?trace ~all ~next
@@ -321,12 +318,12 @@ let run ?(config = default_config) ?(stats = fresh_stats ()) ?trace ~all ~next
 
 let find_all ?config ?stats ?trace ?prefilter program input =
   run ?config ?stats ?trace ~all:true
-    ~next:(prefilter_next ~anchor_at:0 prefilter input) program input 0
+    ~next:(prefilter_next prefilter input) program input 0
 
 let search ?config ?stats ?prefilter ?(from = 0) program input =
   match
     run ?config ?stats ~all:false
-      ~next:(prefilter_next ~anchor_at:from prefilter input) program input from
+      ~next:(prefilter_next prefilter input) program input from
   with
   | [] -> None
   | span :: _ -> Some span

@@ -25,6 +25,21 @@ let test_multicore_helper () =
     (List.length (ok (Alveare.find_all "ab" input))
      = List.length (ok (Alveare.find_all ~cores:4 "ab" input)))
 
+(* A match that runs across every slice boundary is one span at every
+   core count, through [find_all] and [simulate]. *)
+let test_multicore_long_match () =
+  let input = "GET /index.html user=root aaab 12345" in
+  let one = ok (Alveare.find_all "([^A-Z])+" input) in
+  check "one span" true
+    (List.map (fun (s : Alveare.span) -> (s.Alveare.start, s.Alveare.stop)) one
+     = [ (3, 36) ]);
+  for cores = 2 to 10 do
+    check (Printf.sprintf "find_all, %d cores" cores) true
+      (ok (Alveare.find_all ~cores "([^A-Z])+" input) = one);
+    check (Printf.sprintf "simulate, %d cores" cores) true
+      (fst (ok (Alveare.simulate ~cores "([^A-Z])+" input)) = one)
+  done
+
 let test_errors_are_strings () =
   (match Alveare.find_all "(a" "x" with
    | Error msg -> check "rendered error" true (String.length msg > 0)
@@ -65,6 +80,8 @@ let () =
         [ Alcotest.test_case "find_all" `Quick test_find_all;
           Alcotest.test_case "search/matches" `Quick test_search_and_matches;
           Alcotest.test_case "multicore" `Quick test_multicore_helper;
+          Alcotest.test_case "multicore long match" `Quick
+            test_multicore_long_match;
           Alcotest.test_case "errors" `Quick test_errors_are_strings;
           Alcotest.test_case "disassemble" `Quick test_disassemble;
           Alcotest.test_case "simulate" `Quick test_simulate;

@@ -111,6 +111,27 @@ let test_stack_stats () =
   check "pushes happened" true (stats.Core.stack_pushes > 0);
   check "depth tracked" true (stats.Core.max_stack_depth > 0)
 
+(* --- Candidate sources ---------------------------------------------------- *)
+
+(* [Core.candidate_source], applied to an offset, is the next offset a
+   scan attempts. The dense source skips to the next byte that can
+   start the leading literal, or to the end of input when none is left;
+   the first-set prefilter and an explicit array answer past the end of
+   input when none is left. *)
+let test_candidate_source () =
+  let c = compile "ab" in
+  let input = "xxabxab" in
+  let n = String.length input in
+  let plan = c.Compile.plan in
+  let dense = Core.candidate_source plan input in
+  check "dense" true (List.map dense [ 0; 2; 3; 6; 7 ] = [ 2; 2; 5; 7; 7 ]);
+  let first_set = Core.candidate_source ~prefilter:c.Compile.prefilter plan input in
+  check "first-set" true (List.map first_set [ 0; 3 ] = [ 2; 5 ]);
+  check "first-set, none left" true (first_set 6 > n);
+  let listed = Core.candidate_source ~candidates:[| 2; 5; 9 |] plan input in
+  check "candidates" true (List.map listed [ 0; 3; 5; 6 ] = [ 2; 5; 5; 9 ]);
+  check "candidates, none left" true (listed 10 > n)
+
 (* --- Failure injection ---------------------------------------------------- *)
 
 let test_stack_overflow () =
@@ -202,6 +223,8 @@ let () =
           Alcotest.test_case "prefilter lead" `Quick
             test_prefilter_requires_base_lead;
           Alcotest.test_case "stack stats" `Quick test_stack_stats ] );
+      ( "candidate sources",
+        [ Alcotest.test_case "next offset" `Quick test_candidate_source ] );
       ( "failure injection",
         [ Alcotest.test_case "stack overflow" `Quick test_stack_overflow;
           Alcotest.test_case "capacity sufficient" `Quick

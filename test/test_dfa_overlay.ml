@@ -6,8 +6,8 @@
    qcheck properties over the shared random-AST generators plus unit
    tests for the seams: the bail handoff at fragment boundaries, the
    flush-and-refill path under an artificially tiny arena, streaming
-   resume across chunk refills, the guards that keep the overlay off
-   mismatched plans and finite-stack configs, and its engagement from
+   resume across consecutive slices, the guards that keep the overlay
+   off mismatched plans and finite-stack configs, and its engagement from
    the ruleset and façade scans. The [@dfacheck] dune alias runs exactly
    this binary. *)
 
@@ -15,7 +15,6 @@ module Compile = Alveare_compiler.Compile
 module Core = Alveare_arch.Core
 module Plan = Alveare_arch.Plan
 module Dfa = Alveare_arch.Dfa_overlay
-module Stream = Alveare_multicore.Stream_runner
 module S = Alveare_engine.Semantics
 module Gen_ast = Alveare_test_support.Gen_ast
 
@@ -200,10 +199,11 @@ let test_cell_budget_flushes () =
 
 (* --- streaming resume --------------------------------------------------- *)
 
-(* The family persists across chunk refills: a stream scanned in 32-byte
-   chunks must report the same spans with the overlay on or off, and the
-   later chunks must run mostly on transitions the earlier chunks built
-   (table hits strictly dominate builds on this repetitive corpus). *)
+(* The family persists across scans: a stream scanned as consecutive
+   32-byte slices, one [Core.find_all] each, must report the same spans
+   with the overlay on or off, and the later slices must run mostly on
+   transitions the earlier ones built (table hits strictly dominate
+   misses on this repetitive corpus). *)
 let test_streaming_resume () =
   let c = Compile.compile_exn "ab+c" in
   let fam =
@@ -213,26 +213,37 @@ let test_streaming_resume () =
   in
   let chunk = "xxabbcyyabczz" in
   let input = String.concat "" (List.init 24 (fun _ -> chunk)) in
+  let n = String.length input in
+  let slices =
+    List.init ((n + 31) / 32) (fun k ->
+        String.sub input (k * 32) (min 32 (n - (k * 32))))
+  in
+  let scan dfa =
+    let stats = Core.fresh_stats () in
+    let spans =
+      List.concat_map
+        (fun slice ->
+           Core.find_all ~stats ?dfa ~plan:c.Compile.plan c.Compile.program
+             slice)
+        slices
+    in
+    (spans, stats)
+  in
   let before = Dfa.family_stats fam in
-  let with_dfa =
-    Stream.run ~config:(Stream.config ~buffer_bytes:32 ~overlap:8 ())
-      ~plan:c.Compile.plan ~dfa:fam c.Compile.program input
-  in
-  let without =
-    Stream.run ~config:(Stream.config ~buffer_bytes:32 ~overlap:8 ())
-      ~plan:c.Compile.plan c.Compile.program input
-  in
-  check "chunked" true (with_dfa.Stream.chunks > 4);
-  if with_dfa.Stream.matches <> without.Stream.matches then
-    Alcotest.failf "streamed spans: dfa %s plan %s"
-      (show_spans with_dfa.Stream.matches)
-      (show_spans without.Stream.matches);
-  check "compute cycles identical" true
-    (with_dfa.Stream.compute_cycles = without.Stream.compute_cycles);
+  let with_dfa, dfa_stats = scan (Some fam) in
+  let without, plan_stats = scan None in
+  check "sliced" true (List.length slices > 4);
+  check "matches found" true (with_dfa <> []);
+  if with_dfa <> without then
+    Alcotest.failf "sliced spans: dfa %s plan %s" (show_spans with_dfa)
+      (show_spans without);
+  if dfa_stats <> plan_stats then
+    Alcotest.failf "sliced stats: dfa %s plan %s" (show_stats dfa_stats)
+      (show_stats plan_stats);
   let after = Dfa.family_stats fam in
   let hits = after.Dfa.hits - before.Dfa.hits in
   let misses = after.Dfa.misses - before.Dfa.misses in
-  check "table reused across refills" true (hits > misses)
+  check "table reused across slices" true (hits > misses)
 
 (* --- guards -------------------------------------------------------------- *)
 

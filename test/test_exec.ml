@@ -3,17 +3,15 @@
    The parallel layer is only admissible if it is invisible: for any
    worker count, every routed subsystem must return byte-identical
    results to its sequential run. This battery locks that invariant down
-   for the Pool itself, Multicore.run, Stream_runner.run, Ruleset
-   compile/scan and the harness engine sweep, and covers the compile
-   cache (LRU order, counters, cached-vs-fresh equality, multi-domain
-   hammer). *)
+   for the Pool itself, Multicore.run, Ruleset compile/scan and the
+   harness engine sweep, and covers the compile cache (LRU order,
+   counters, cached-vs-fresh equality, multi-domain hammer). *)
 
 module Pool = Alveare_exec.Pool
 module Cache = Alveare_exec.Cache
 module Compile = Alveare_compiler.Compile
 module Ruleset = Alveare_compiler.Ruleset
 module Multicore = Alveare_multicore.Multicore
-module Stream = Alveare_multicore.Stream_runner
 module E = Alveare_harness.Experiments
 module Rng = Alveare_workloads.Rng
 module Gen_ast = Alveare_test_support.Gen_ast
@@ -126,19 +124,33 @@ let prop_multicore_deterministic =
              Multicore.run ~workers ~config c.Compile.program input = reference)
           worker_counts)
 
-let prop_stream_deterministic =
-  QCheck2.Test.make ~name:"stream runner parallel = sequential" ~count:40
-    ~print:Gen_ast.print_ast_and_input Gen_ast.gen_ast_and_input
+(* The stitch re-attempts on the host after the pool returns, with the
+   run's own candidate source: the whole result is the same for every
+   worker count on the first-set and explicit-candidate sources too.
+   Inputs are tripled so that matches cross slice boundaries. *)
+let prop_multicore_sources_deterministic =
+  QCheck2.Test.make ~name:"multicore stitch parallel = sequential, every source"
+    ~count:40 ~print:Gen_ast.print_ast_and_input Gen_ast.gen_ast_and_input
     (fun (ast, input) ->
+      let input = Gen_ast.cap_exponential ast (input ^ input ^ input) in
       match Compile.compile_ast ast with
       | Error _ -> true
       | Ok c ->
-        let config = Stream.config ~buffer_bytes:96 ~overlap:32 ~cores:2 () in
-        let reference = Stream.run ~config c.Compile.program input in
+        let config = Multicore.config ~cores:3 ~overlap:16 () in
+        let candidates =
+          Array.init ((String.length input / 2) + 1) (fun i -> 2 * i)
+        in
         List.for_all
-          (fun workers ->
-             Stream.run ~workers ~config c.Compile.program input = reference)
-          worker_counts)
+          (fun run ->
+             let reference = run 1 in
+             List.for_all (fun workers -> run workers = reference)
+               worker_counts)
+          [ (fun workers ->
+               Multicore.run ~workers ~prefilter:c.Compile.prefilter ~config
+                 c.Compile.program input);
+            (fun workers ->
+               Multicore.run ~workers ~candidates ~config c.Compile.program
+                 input) ])
 
 (* --- Ruleset ----------------------------------------------------------- *)
 
@@ -323,7 +335,8 @@ let () =
             test_pool_queue_depth ] );
       ( "determinism",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_multicore_deterministic; prop_stream_deterministic ]
+          [ prop_multicore_deterministic;
+            prop_multicore_sources_deterministic ]
         @ [ Alcotest.test_case "ruleset scan" `Quick
               test_ruleset_scan_deterministic;
             Alcotest.test_case "ruleset parallel compile" `Quick

@@ -1,4 +1,6 @@
-(* Multi-core scale-out tests: result equivalence with a single core,
+(* Multi-core scale-out tests: result equivalence with a single core
+   (fixed cases and a random property at 2-10 cores over every candidate
+   source), the stitch's host re-attempts (charged to no core),
    overlap-window semantics at slice boundaries, wall-clock accounting,
    the candidate-offset source, and configuration validation. *)
 
@@ -6,6 +8,7 @@ module Core = Alveare_arch.Core
 module Multicore = Alveare_multicore.Multicore
 module Compile = Alveare_compiler.Compile
 module S = Alveare_engine.Semantics
+module Gen_ast = Alveare_test_support.Gen_ast
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -87,6 +90,21 @@ let test_empty_input () =
   let mc = Multicore.run ~config:(Multicore.config ~cores:4 ()) program "" in
   check "nullable matches empty input once" true
     (mc.Multicore.matches = [ { S.start = 0; stop = 0 } ])
+
+(* An empty match at the end of input is kept once, by the core whose
+   slice ends there, and so are the empty matches at slice starts. *)
+let test_empty_match_at_end () =
+  let program = compile "a*" in
+  let input = "baaabxbaab" in
+  let single = Core.find_all program input in
+  check "one core ends on an empty match" true
+    (List.rev single |> List.hd = { S.start = 10; stop = 10 });
+  for cores = 2 to 10 do
+    check
+      (Printf.sprintf "%d cores = one core" cores)
+      true
+      (Multicore.find_all ~cores ~overlap:4 program input = single)
+  done
 
 let test_more_cores_than_bytes () =
   let program = compile "ab" in
@@ -255,6 +273,165 @@ let test_totals_are_sums () =
       ("candidates",
        fun ~config -> Multicore.run ~candidates ~config c.Compile.program input) ]
 
+(* --- The stitch ------------------------------------------------------------
+
+   At every core count the stitched cores return the one-core scan's
+   spans, on each candidate source: dense, the first-set prefilter, and
+   an explicit array (about three offsets in four, the end of input
+   included, true starts not forced in). Inputs are tripled so matches
+   cross slice boundaries, and use the pattern's own window; drawn
+   patterns include nullable ones. *)
+let show_spans spans = Fmt.str "%a" Fmt.(list ~sep:semi S.pp_span) spans
+
+let prop_stitch_equals_one_core =
+  QCheck2.Test.make ~count:300 ~name:"2-10 cores = one core, every source"
+    ~print:Gen_ast.print_ast_and_input Gen_ast.gen_ast_and_input
+    (fun (ast, input) ->
+      let input = Gen_ast.cap_exponential ast (input ^ input ^ input) in
+      match Compile.compile_ast ast with
+      | Error _ -> true
+      | Ok c ->
+        let n = String.length input in
+        let candidates =
+          List.init (n + 1) Fun.id
+          |> List.filter (fun o -> o = n || Hashtbl.hash (input, o) land 3 <> 0)
+          |> Array.of_list
+        in
+        let overlap = Multicore.overlap_for_ast c.Compile.ast in
+        let plan = c.Compile.plan and program = c.Compile.program in
+        let prefilter = c.Compile.prefilter in
+        List.iter
+          (fun (source, one_core, run) ->
+             for cores = 2 to 10 do
+               let mc =
+                 (run ~config:(Multicore.config ~cores ~overlap ()))
+                   .Multicore.matches
+               in
+               if mc <> one_core then
+                 QCheck2.Test.fail_reportf "%s, %d cores: %s, one core: %s"
+                   source cores (show_spans mc) (show_spans one_core)
+             done)
+          [ ("dense", Core.find_all ~plan program input,
+             fun ~config -> Multicore.run ~plan ~config program input);
+            ("first-set", Core.find_all ~prefilter ~plan program input,
+             fun ~config ->
+               Multicore.run ~prefilter ~plan ~config program input);
+            ("candidates",
+             Core.find_all_candidates ~candidates ~plan program input,
+             fun ~config ->
+               Multicore.run ~candidates ~plan ~config program input) ];
+        true)
+
+(* [aa[ab]] over eight [a]s at two cores of four bytes, window 3: core
+   0 keeps 0-3 and 3-6. Core 1 found 4-7, which starts inside the kept
+   3-6, where the one-core scan never attempts: the stitch drops it
+   after one host re-attempt, at 6, that fails at the end of input.
+   Core 1's stats still count the match it found. *)
+let test_stitch_drops_overlapping_match () =
+  let program = compile "aa[ab]" in
+  let input = "aaaaaaaa" in
+  let mc =
+    Multicore.run ~config:(Multicore.config ~cores:2 ~overlap:3 ()) program
+      input
+  in
+  let spans = [ { S.start = 0; stop = 3 }; { S.start = 3; stop = 6 } ] in
+  check "one core gives 0-3 3-6" true (Core.find_all program input = spans);
+  check "two cores = one core" true (mc.Multicore.matches = spans);
+  check "core 0 owns both" true
+    (mc.Multicore.per_core.(0).Multicore.owned = spans);
+  check "core 1 owns none" true
+    (mc.Multicore.per_core.(1).Multicore.owned = []);
+  check_int "core 1 counted its match" 1
+    mc.Multicore.per_core.(1).Multicore.stats.Core.match_count;
+  check_int "one host re-attempt" 1 mc.Multicore.stitch_attempts
+
+(* The stitch is host work: whatever it re-attempts, each core's stats
+   are those of a direct scan of its region [slice_start, slice_stop +
+   overlap), on the dense and first-set sources. *)
+let test_stitch_charges_no_core () =
+  let probe = "GET /index.html user=root aaab 12345" in
+  let cases =
+    [ ("([^A-Z])+", probe ^ probe ^ probe, 8);
+      ("aaa", String.make 120 'a', 3);
+      ("a+", String.make 400 'a', 16) ]
+  in
+  let attempts = ref 0 in
+  List.iter
+    (fun (pattern, input, overlap) ->
+       let c = Compile.compile_exn pattern in
+       let n = String.length input in
+       List.iter
+         (fun (source, prefilter) ->
+            for cores = 2 to 10 do
+              let mc =
+                Multicore.run ?prefilter
+                  ~config:(Multicore.config ~cores ~overlap ())
+                  c.Compile.program input
+              in
+              attempts := !attempts + mc.Multicore.stitch_attempts;
+              Array.iteri
+                (fun k (core : Multicore.core_result) ->
+                   let start = core.Multicore.slice_start in
+                   let stop = min n (core.Multicore.slice_stop + overlap) in
+                   let stats = Core.fresh_stats () in
+                   ignore
+                     (Core.find_all ?prefilter ~stats c.Compile.program
+                        (String.sub input start (stop - start)));
+                   check_counters
+                     (Printf.sprintf "%s, %s, %d cores, core %d" pattern
+                        source cores k)
+                     stats core.Multicore.stats)
+                mc.Multicore.per_core
+            done)
+         [ ("dense", None); ("first-set", Some c.Compile.prefilter) ])
+    cases;
+  check "the stitch re-attempted" true (!attempts > 0)
+
+(* What stays approximate: a match longer than the window is cut at its
+   region's end. [a+] over 400 [a]s at four cores of 100 bytes and a
+   16-byte window: core 0's match ends at its region's end, 116; the
+   stitch resumes there, and its one re-attempt, on the whole input,
+   runs to the end. A window that holds the match gives the one-core
+   span. *)
+let test_window_cuts_long_match () =
+  let program = compile "a+" in
+  let input = String.make 400 'a' in
+  let run overlap =
+    Multicore.run ~config:(Multicore.config ~cores:4 ~overlap ()) program input
+  in
+  let cut = run 16 in
+  check "cut at core 0's region end" true
+    (cut.Multicore.matches
+     = [ { S.start = 0; stop = 116 }; { S.start = 116; stop = 400 } ]);
+  check_int "one host re-attempt" 1 cut.Multicore.stitch_attempts;
+  check "a window that holds the match" true
+    ((run 300).Multicore.matches = Core.find_all program input)
+
+(* An empty input holds one empty match for a nullable pattern and none
+   otherwise, at every core count and on every candidate source. *)
+let test_empty_input_every_source () =
+  List.iter
+    (fun (pattern, expected) ->
+       let c = Compile.compile_exn pattern in
+       let program = c.Compile.program in
+       List.iter
+         (fun (source, run) ->
+            for cores = 1 to 10 do
+              check
+                (Printf.sprintf "%s, %s, %d cores" pattern source cores)
+                true
+                ((run ~config:(Multicore.config ~cores ())).Multicore.matches
+                 = expected)
+            done)
+         [ ("dense", fun ~config -> Multicore.run ~config program "");
+           ("first-set",
+            fun ~config ->
+              Multicore.run ~prefilter:c.Compile.prefilter ~config program "");
+           ("candidates",
+            fun ~config ->
+              Multicore.run ~candidates:[| 0 |] ~config program "") ])
+    [ ("a*", [ { S.start = 0; stop = 0 } ]); ("ab", []) ]
+
 let test_config_validation () =
   check "zero cores rejected" true
     (try ignore (Multicore.config ~cores:0 ()); false
@@ -293,8 +470,20 @@ let () =
             test_candidates_exclude_prefilter;
           Alcotest.test_case "totals are per-core sums" `Quick
             test_totals_are_sums ] );
+      ( "stitch",
+        [ QCheck_alcotest.to_alcotest prop_stitch_equals_one_core;
+          Alcotest.test_case "drops an overlapping core match" `Quick
+            test_stitch_drops_overlapping_match;
+          Alcotest.test_case "charges no core" `Quick
+            test_stitch_charges_no_core;
+          Alcotest.test_case "window cuts a longer match" `Quick
+            test_window_cuts_long_match ] );
       ( "edges",
         [ Alcotest.test_case "empty input" `Quick test_empty_input;
+          Alcotest.test_case "empty input, every source" `Quick
+            test_empty_input_every_source;
+          Alcotest.test_case "empty match at end" `Quick
+            test_empty_match_at_end;
           Alcotest.test_case "more cores than bytes" `Quick
             test_more_cores_than_bytes;
           Alcotest.test_case "config validation" `Quick test_config_validation;

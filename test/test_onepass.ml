@@ -25,7 +25,8 @@ let check ?cores ?extended specs input =
    AC-covered literals (overlapping: one a prefix of the other, plus an
    exact duplicate sharing a compile-cache entry and hence an overlay
    family), first-set dispatch rules (one fully backtracking-free, one
-   not), an anchored rule, and a nullable rule (both residual). *)
+   not), a literal led by [^] (a plain byte: the surface syntax has no
+   anchors), and a nullable rule (residual). *)
 let mixed_specs =
   [ ("lit", "alert");
     ("lit-longer", "alerted");
@@ -33,7 +34,7 @@ let mixed_specs =
     ("first-safe", "[a-z]{2,5}x");
     ("first-digits", "[0-9]{2,6}");
     ("pair", "(ab|cd)+x");
-    ("anchored", "^foo");
+    ("caret", "^foo");
     ("nullable", "a*") ]
 
 let mixed_input =
@@ -91,7 +92,7 @@ let test_long_letter_run () =
 let test_repeated_rules () =
   let p = "[a-z]{2,5}x" in
   check [ ("first", p); ("digits", "[0-9]{2,6}"); ("first-again", p) ] letters;
-  check [ ("anchored", "^foo"); ("anchored-again", "^foo") ] "foo bar foo";
+  check [ ("caret", "^foo"); ("caret-again", "^foo") ] "^foo bar ^foo";
   check
     [ ("nullable", "a*"); ("lit", "alert"); ("nullable-again", "a*") ]
     "aa alert a";

@@ -109,18 +109,6 @@ let test_inner_literal_offset () =
    | Some { Pf.lits = [ "WXYZ" ]; offset = 1; exact = false } -> ()
    | _ -> Alcotest.failf "unexpected literals: %s" (Pf.describe t))
 
-let test_anchored_flag () =
-  let c = Compile.compile_exn "abc" in
-  let t = Pf.analyze ~anchored:true c.Compile.ast in
-  check "anchored" true t.Pf.anchored;
-  check "default unanchored" false c.Compile.prefilter.Pf.anchored;
-  (* Anchored facts restrict the scan to the starting offset. *)
-  check "no match off origin" true
-    (Core.find_all ~prefilter:t c.Compile.program "xxabc" = []);
-  check "match at origin" true
-    (Core.find_all ~prefilter:t c.Compile.program "abcxx"
-     = [ { S.start = 0; stop = 3 } ])
-
 let test_analyze_total_on_workloads () =
   let rng = Alveare_workloads.Rng.create 5 in
   List.iter
@@ -383,6 +371,20 @@ let test_sidecar_rejects_garbage () =
   Bytes.set bad_version 4 '\x63';
   check "bad version" true (Result.is_error (Pf.of_bytes bad_version))
 
+(* Byte 5 holds the flags; only nullable (1), literal table (4) and
+   exact (8) are defined, and an image with any other bit set is
+   refused, bit 2 included. *)
+let test_sidecar_rejects_undefined_flags () =
+  let good = Pf.to_bytes (pf_of "a*") in
+  check "nullable image loads" true (Result.is_ok (Pf.of_bytes good));
+  List.iter
+    (fun bit ->
+       let bad = Bytes.copy good in
+       Bytes.set_uint8 bad 5 (Bytes.get_uint8 good 5 lor bit);
+       check (Printf.sprintf "flag bit 0x%02x refused" bit) true
+         (Result.is_error (Pf.of_bytes bad)))
+    [ 2; 16; 32; 64; 128 ]
+
 let qtest t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -403,7 +405,6 @@ let () =
             test_any_excludes_newline;
           Alcotest.test_case "inner literal offset" `Quick
             test_inner_literal_offset;
-          Alcotest.test_case "anchored flag" `Quick test_anchored_flag;
           Alcotest.test_case "total on workload samplers" `Quick
             test_analyze_total_on_workloads ] );
       ( "properties",
@@ -428,4 +429,6 @@ let () =
             test_ruleset_multicore_on_off ] );
       ( "sidecar",
         [ Alcotest.test_case "rejects garbage" `Quick
-            test_sidecar_rejects_garbage ] ) ]
+            test_sidecar_rejects_garbage;
+          Alcotest.test_case "rejects undefined flags" `Quick
+            test_sidecar_rejects_undefined_flags ] ) ]

@@ -64,6 +64,36 @@ let test_scan_multicore_equivalence () =
   check "4 cores no slower" true
     (r4.Ruleset.total_wall_cycles <= r1.Ruleset.total_wall_cycles)
 
+(* Matches that run across slice boundaries: at every core count the
+   report holds the one-core hits, one span per rule. Cores that kept
+   every match starting in their own slice reported 9-36, 18-36 and
+   27-36 for the first rule too, at four cores. *)
+let test_scan_multicore_long_matches () =
+  let t =
+    Ruleset.compile_exn
+      [ ("nocaps", "([^A-Z])+");
+        ("cred", "(user|login|passwd)=[^&\r\n]{1,24}");
+        ("level", "(ERROR|FATAL|PANIC)") ]
+  in
+  let input = "GET /index.html user=root aaab 12345" in
+  let hits report =
+    List.map
+      (fun (h : Ruleset.hit) -> (h.Ruleset.hit_rule.Ruleset.id, h.Ruleset.span))
+      report.Ruleset.hits
+  in
+  let expected =
+    [ (0, { S.start = 3; stop = 36 }); (1, { S.start = 16; stop = 36 }) ]
+  in
+  List.iter
+    (fun prefilter ->
+       for cores = 1 to 10 do
+         check
+           (Printf.sprintf "%d cores, prefilter %b" cores prefilter)
+           true
+           (hits (Ruleset.scan ~cores ~prefilter t input) = expected)
+       done)
+    [ true; false ]
+
 let test_scan_cores_validated () =
   let t = Ruleset.compile_exn specs in
   List.iter
@@ -83,5 +113,7 @@ let () =
         [ Alcotest.test_case "hits" `Quick test_scan_hits;
           Alcotest.test_case "multicore equivalence" `Quick
             test_scan_multicore_equivalence;
+          Alcotest.test_case "multicore long matches" `Quick
+            test_scan_multicore_long_matches;
           Alcotest.test_case "core count validated" `Quick
             test_scan_cores_validated ] ) ]
